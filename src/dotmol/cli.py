@@ -2,9 +2,9 @@
 
 Reads a JSON config describing geometry, molecule parameters and one
 scenario (simulate | compile | bell | sweep), executes it, and writes JSON
-or CSV. Identical (config, seed) pairs produce byte-identical output, also
-under concurrent trial execution. Exit codes: 0 ok, 1 usage/config error,
-2 physics precondition violation, 3 completed with budget warnings.
+or CSV. Identical (config, seed) pairs produce byte-identical output.
+Exit codes: 0 ok, 1 usage/config error, 2 physics precondition
+violation, 3 completed with budget warnings.
 """
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ import io
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +21,7 @@ from .electrostatics import (LayoutGeometry, Topology, background_interaction,
                              h_cc, nnn_coupling_ratio, pair_coupling)
 from .measurement import BELL_LABELS, bell_measure, bell_state
 from .physics import MoleculeParams, adiabatic_angle, charge_branch_energies, sin_sq_mixing
-from .register import state_json
+from .register import check_register_size, state_json
 from .scheduler import (Gate, ScheduleProgram, compile_circuit, init_schedule,
                         simulate_program, time_budget, validate_program)
 from .streams import stream_token, substream
@@ -67,6 +66,14 @@ def _build_topology(data: dict) -> Topology:
     raise ConfigError(f"unknown topology kind {kind!r}")
 
 
+def _scalar(convert, value, key: str):
+    """convert(value), with a failed conversion reported as a ConfigError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"{key} must be {convert.__name__}, not {value!r}") from exc
+
+
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     path = Path(path)
     if not path.is_file():
@@ -75,13 +82,15 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         data = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config must be a JSON object, not {type(data).__name__}")
     overrides = overrides or {}
     try:
         geometry = LayoutGeometry(
             topology=_build_topology(data.get("geometry", {}).get("topology", {})),
             **{k: v for k, v in data.get("geometry", {}).items() if k != "topology"})
         params = MoleculeParams(**data.get("params", {}))
-    except (TypeError, ValueError) as exc:
+    except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad geometry or params: {exc}") from exc
     scenario = data.get("scenario")
     if not isinstance(scenario, dict) or "kind" not in scenario:
@@ -90,11 +99,11 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"unknown scenario kind {scenario['kind']!r}")
     _validate_scenario(scenario, path.parent)
     cfg = dict(
-        seed=int(data.get("seed", 0)),
+        seed=_scalar(int, data.get("seed", 0), "seed"),
         out_format=str(data.get("format", "json")),
         echo=bool(data.get("echo", False)),
-        workers=int(data.get("workers", 1)),
-        safety_factor=float(data.get("safety_factor", 10.0)),
+        workers=_scalar(int, data.get("workers", 1), "workers"),
+        safety_factor=_scalar(float, data.get("safety_factor", 10.0), "safety_factor"),
     )
     for key in ("seed", "out_format", "echo"):
         if overrides.get(key) is not None:
@@ -113,14 +122,14 @@ def _validate_scenario(scenario: dict, base: Path):
     elif kind == "bell":
         if scenario.get("input") not in BELL_LABELS:
             raise ConfigError(f"bell scenario needs input in {BELL_LABELS}")
-        if int(scenario.get("trials", 0)) < 1:
+        if _scalar(int, scenario.get("trials", 0), "trials") < 1:
             raise ConfigError("bell scenario needs trials >= 1")
     elif kind == "sweep":
         for key in ("start", "stop"):
             value = scenario.get(key)
             if not isinstance(value, (int, float)) or not math.isfinite(value):
                 raise ConfigError(f"sweep scenario needs finite {key!r}")
-        if int(scenario.get("points", 0)) < 2:
+        if _scalar(int, scenario.get("points", 0), "points") < 2:
             raise ConfigError("sweep scenario needs points >= 2")
         if "observable" not in scenario or "parameter" not in scenario:
             raise ConfigError("sweep scenario needs 'parameter' and 'observable'")
@@ -201,6 +210,7 @@ def _run_compile(config: RunConfig, config_dir: Path) -> tuple[int, dict]:
 
 
 def _run_simulate(config: RunConfig, config_dir: Path) -> tuple[int, dict]:
+    check_register_size(config.geometry.topology.size)
     gates = _load_gates(config, config_dir)
     prologue = init_schedule(config.geometry.topology, config.params,
                              config.safety_factor)
@@ -236,11 +246,7 @@ def _run_bell(config: RunConfig) -> tuple[int, dict]:
                 "classification": outcome.classification,
                 "phi": outcome.phi}
 
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            outcomes = list(pool.map(one, range(trials)))
-    else:
-        outcomes = [one(t) for t in range(trials)]
+    outcomes = [one(t) for t in range(trials)]
     payload = {"scenario": "bell", "input": label, "trials": trials,
                "outcomes": outcomes}
     return EXIT_OK, payload

@@ -18,7 +18,8 @@ import numpy as np
 from .electrostatics import LayoutGeometry
 from .physics import MoleculeParams, full_sweep, sweep_rate_window
 from .register import (EncodedRegisterState, Rotation, apply_rotation, ising_phase,
-                       molecule_probabilities, phase_from_waveform)
+                       molecule_probabilities, molecule_view, pair_view,
+                       phase_from_waveform)
 
 DEFAULT_READ_DURATION_NS = 1000.0
 
@@ -72,6 +73,11 @@ class BellDecomposition:
 
 _SQRT2 = math.sqrt(2.0)
 
+# (bit_i, bit_j) blocks that a pair read at each level rules out
+_REJECTED = {"I_max": ((0, 1), (1, 0), (1, 1)),
+             "I_mid": ((0, 0), (1, 1)),
+             "I_min": ((0, 0), (0, 1), (1, 0))}
+
 
 def bell_state(label: str) -> EncodedRegisterState:
     """One of the four Bell states over two molecules."""
@@ -113,8 +119,8 @@ def _sample(rng: np.random.Generator, outcomes) -> str:
     return live[-1][0]
 
 
-def _project(state: EncodedRegisterState, keep: np.ndarray) -> EncodedRegisterState:
-    amps = np.where(keep, state.amplitudes, 0.0)
+def _project(state: EncodedRegisterState, amps: np.ndarray) -> EncodedRegisterState:
+    """Renormalized state from amplitudes with the rejected branch zeroed."""
     amps = amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)))
     return EncodedRegisterState(amps, state.charge_flags)
 
@@ -139,22 +145,18 @@ def qpc_read_single(state: EncodedRegisterState, molecule: int,
                                  f"{molecule} is held at +Ec/2")
     p_t, p_s = molecule_probabilities(state, molecule)
     outcome = _sample(rng, (("T", p_t), ("S", p_s)))
-    idx = np.arange(state.amplitudes.size)
-    bits = (idx >> (state.n - 1 - molecule)) & 1
-    post = _project(state, bits == (1 if outcome == "S" else 0))
-    return outcome, post
+    amps = state.amplitudes.copy()
+    molecule_view(amps, molecule)[:, 0 if outcome == "S" else 1] = 0.0
+    return outcome, _project(state, amps)
 
 
 def pair_read_probabilities(state: EncodedRegisterState, i: int, j: int) -> dict[str, float]:
     """Born probabilities of the three QPC levels for a pair read."""
-    idx = np.arange(state.amplitudes.size)
-    bi = (idx >> (state.n - 1 - i)) & 1
-    bj = (idx >> (state.n - 1 - j)) & 1
-    p = np.abs(state.amplitudes) ** 2
+    p = pair_view(np.abs(state.amplitudes) ** 2, i, j)
     return {
-        "I_max": float(p[(bi == 0) & (bj == 0)].sum()),
-        "I_mid": float(p[bi != bj].sum()),
-        "I_min": float(p[(bi == 1) & (bj == 1)].sum()),
+        "I_max": float(p[:, 0, :, 0].sum()),
+        "I_mid": float(p[:, 0, :, 1].sum() + p[:, 1, :, 0].sum()),
+        "I_min": float(p[:, 1, :, 1].sum()),
     }
 
 
@@ -172,13 +174,11 @@ def qpc_read_pair(state: EncodedRegisterState, i: int, j: int,
         raise ValueError("pair read needs both molecules swept to +Ec/2")
     probs = pair_read_probabilities(state, i, j)
     level = _sample(rng, tuple(probs.items()))
-    idx = np.arange(state.amplitudes.size)
-    bi = (idx >> (state.n - 1 - i)) & 1
-    bj = (idx >> (state.n - 1 - j)) & 1
-    keep = {"I_max": (bi == 0) & (bj == 0),
-            "I_mid": bi != bj,
-            "I_min": (bi == 1) & (bj == 1)}[level]
-    return QpcReading(level, currents.value(level), _project(state, keep),
+    amps = state.amplitudes.copy()
+    view = pair_view(amps, i, j)
+    for a, b in _REJECTED[level]:
+        view[:, a, :, b] = 0.0
+    return QpcReading(level, currents.value(level), _project(state, amps),
                       accumulated_phase)
 
 

@@ -25,6 +25,9 @@ _PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 ORACLE_MOLECULE_LIMIT = 4
+# 2^20 amplitudes (16 MiB) is the largest register measured to run end to
+# end; the JSON render of its amplitudes dominates the memory.
+ENCODED_MOLECULE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -48,16 +51,13 @@ class EncodedRegisterState:
             raise ValueError(f"need 2^{n} amplitudes, got shape {amps.shape}")
         if any(f not in ("11", "02") for f in self.charge_flags):
             raise ValueError("charge flags must be '11' or '02'")
-        norm = float(np.sum(np.abs(amps) ** 2))
+        norm = float(np.vdot(amps, amps).real)
         if abs(norm - 1.0) > 1e-10:
             raise ValueError(f"state norm^2 = {norm!r} is not 1 within 1e-10")
 
     @property
     def n(self) -> int:
         return len(self.charge_flags)
-
-    def bit(self, index: int, molecule: int) -> int:
-        return (index >> (self.n - 1 - molecule)) & 1
 
     def with_flags(self, flags: dict[int, str]) -> "EncodedRegisterState":
         new = list(self.charge_flags)
@@ -66,11 +66,31 @@ class EncodedRegisterState:
         return EncodedRegisterState(self.amplitudes, tuple(new))
 
 
+def check_register_size(n: int) -> None:
+    """Refuse a register whose 2^n amplitudes exceed the supported budget."""
+    if n > ENCODED_MOLECULE_LIMIT:
+        raise ValueError(f"{n} molecules need 2^{n} amplitudes; the encoded "
+                         f"register supports at most {ENCODED_MOLECULE_LIMIT}")
+
+
+def molecule_view(amps: np.ndarray, m: int) -> np.ndarray:
+    """(2^m, 2, rest) view of a flat amplitude vector; axis 1 is molecule m."""
+    return amps.reshape(1 << m, 2, -1)
+
+
+def pair_view(amps: np.ndarray, i: int, j: int) -> np.ndarray:
+    """(left, 2, mid, 2, rest) view; axes 1 and 3 are molecules min(i, j)
+    and max(i, j). Every pair operation is symmetric in i and j."""
+    i, j = min(i, j), max(i, j)
+    return amps.reshape(1 << i, 2, 1 << (j - i - 1), 2, -1)
+
+
 def product_state(labels: str) -> EncodedRegisterState:
     """Computational product state from a string over {T, S}, e.g. 'TS'."""
     if not labels or any(ch not in "TS" for ch in labels):
         raise ValueError("labels must be a non-empty string over {T, S}")
     n = len(labels)
+    check_register_size(n)
     index = 0
     for ch in labels:
         index = index * 2 + (1 if ch == "S" else 0)
@@ -81,10 +101,7 @@ def product_state(labels: str) -> EncodedRegisterState:
 
 def molecule_probabilities(state: EncodedRegisterState, molecule: int) -> tuple[float, float]:
     """(P(T), P(S)) marginal for one molecule."""
-    idx = np.arange(state.amplitudes.size)
-    bits = (idx >> (state.n - 1 - molecule)) & 1
-    p = np.abs(state.amplitudes) ** 2
-    p_s = float(p[bits == 1].sum())
+    p_s = float(np.sum(np.abs(molecule_view(state.amplitudes, molecule)[:, 1]) ** 2))
     return 1.0 - p_s, p_s
 
 
@@ -165,10 +182,22 @@ def apply_rotation(state: EncodedRegisterState, molecule: int,
     _check_molecule(state, molecule)
     if state.charge_flags[molecule] == "02":
         raise ValueError(f"molecule {molecule} is held at +Ec/2; rotations need (1,1)")
-    psi = state.amplitudes.reshape([2] * state.n)
-    psi = np.moveaxis(psi, molecule, -1) @ rotation.matrix().T
-    psi = np.moveaxis(psi, -1, molecule).reshape(-1)
-    return EncodedRegisterState(psi, state.charge_flags)
+    u = rotation.matrix()
+    (u00, u01), (u10, u11) = u.tolist()
+    psi = molecule_view(state.amplitudes, molecule)
+    t, s = psi[:, 0], psi[:, 1]
+    # One scratch half and out= writes: np.matmul loops over the 2x2 blocks
+    # one at a time, and fresh temporaries per term made the allocator
+    # return and re-fault ~2 MiB a call at n=16.
+    out = np.empty_like(psi)
+    o0, o1 = out[:, 0], out[:, 1]
+    w = np.multiply(s, u01)
+    np.multiply(t, u00, out=o0)
+    o0 += w
+    np.multiply(s, u11, out=w)
+    np.multiply(t, u10, out=o1)
+    o1 += w
+    return EncodedRegisterState(out.reshape(-1), state.charge_flags)
 
 
 def ising_phase(state: EncodedRegisterState, i: int, j: int, phi: float,
@@ -180,10 +209,8 @@ def ising_phase(state: EncodedRegisterState, i: int, j: int, phi: float,
     upstream and rejected here.
     """
     _check_pair(state, i, j, adjacency)
-    idx = np.arange(state.amplitudes.size)
-    both = (((idx >> (state.n - 1 - i)) & 1) & ((idx >> (state.n - 1 - j)) & 1)).astype(bool)
     amps = state.amplitudes.copy()
-    amps[both] *= np.exp(1j * phi)
+    pair_view(amps, i, j)[:, 1, :, 1] *= np.exp(1j * phi)
     return EncodedRegisterState(amps, state.charge_flags)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from .measurement import (DEFAULT_READ_DURATION_NS, _measurement_sweep,
 from .physics import (DetuningWaveform, MoleculeParams, full_sweep,
                       sin_sq_mixing, sweep_rate_window)
 from .register import (EncodedRegisterState, Rotation, apply_rotation, ising_phase,
-                       phase_from_waveform, product_state)
+                       molecule_view, phase_from_waveform, product_state)
 
 # Spin-echo extends the usable coherence window a hundredfold.
 ECHO_FACTOR = 100.0
@@ -416,20 +417,24 @@ def time_budget(program: ScheduleProgram, params: MoleculeParams,
 
 def _reset_to_singlet(state: EncodedRegisterState, m: int) -> EncodedRegisterState:
     """Replace an unentangled molecule's factor with |S> (fresh pair load)."""
-    psi = state.amplitudes.reshape([2] * state.n)
-    psi = np.moveaxis(psi, m, 0).reshape(2, -1)
-    rho = psi @ psi.conj().T
+    psi = molecule_view(state.amplitudes, m)
+    rho = np.tensordot(psi, psi.conj(), axes=([0, 2], [0, 2]))
     purity = float(np.trace(rho @ rho).real)
     if purity < 1.0 - 1e-9:
         raise ValueError(f"init on molecule {m} while entangled with the register")
     _, vecs = np.linalg.eigh(rho)
     factor = vecs[:, -1]
-    rest = factor.conj() @ psi
+    rest = np.tensordot(factor.conj(), psi, axes=([0], [1]))
     rest /= math.sqrt(float(np.sum(np.abs(rest) ** 2)))
     out = np.zeros_like(psi)
-    out[1] = rest
-    out = np.moveaxis(out.reshape([2] * state.n), 0, m).reshape(-1)
-    return EncodedRegisterState(out, state.charge_flags)
+    out[:, 1] = rest
+    return EncodedRegisterState(out.reshape(-1), state.charge_flags)
+
+
+@lru_cache(maxsize=32)
+def _read_sweep_phase(g: LayoutGeometry, params: MoleculeParams, ramp: float) -> float:
+    """Ising phase of one full measurement sweep with the given ramp."""
+    return phase_from_waveform(full_sweep(params, ramp), g, params.tunnel_coupling)
 
 
 def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
@@ -469,8 +474,7 @@ def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
                 i, j = action.molecules
                 sweep_phi = 0.0
                 if action.ramp > 0.0:
-                    sweep_phi = phase_from_waveform(
-                        full_sweep(params, action.ramp), g, params.tunnel_coupling)
+                    sweep_phi = _read_sweep_phase(g, params, action.ramp)
                 state = ising_phase(state, i, j, sweep_phi, adjacency)
                 state = state.with_flags({i: "02", j: "02"})
                 reading = qpc_read_pair(state, i, j, rng)

@@ -140,6 +140,25 @@ def test_load_config_overrides(tmp_path):
     assert config.seed == 7
 
 
+BELL_SCENARIO = {"kind": "bell", "input": "psi_plus", "trials": 2}
+
+
+@pytest.mark.parametrize("config", [
+    dict(BASE, scenario=dict(BELL_SCENARIO, trials="abc")),
+    dict(BASE, scenario=BELL_SCENARIO, seed="x"),
+    dict(BASE, scenario=BELL_SCENARIO, workers="two"),
+    dict(BASE, scenario=BELL_SCENARIO, safety_factor=None),
+    [dict(BASE, scenario=BELL_SCENARIO)],
+], ids=["trials", "seed", "workers", "safety_factor", "top_level_array"])
+def test_malformed_scalars_exit_one_without_traceback(tmp_path, capsys, config):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path), "--out", str(tmp_path / "o.json")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 # --- scenarios through main() ---
 
 def test_usage_errors_exit_one(tmp_path):
@@ -220,6 +239,20 @@ def test_simulate_scenario_deterministic(tmp_path):
     assert len(payload["final_state"]) == 4
 
 
+def test_simulate_refuses_oversized_register(tmp_path):
+    # a 6x6 grid would need 2^36 amplitudes; refused before any allocation
+    config = {"geometry": {"topology": {"kind": "grid", "rows": 6, "cols": 6}},
+              "scenario": {"kind": "simulate", "circuit": "c.txt"}}
+    (tmp_path / "c.txt").write_text("H 0\n")
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(config))
+    code, blob = run_cli(path, tmp_path / "out.json")
+    assert code == EXIT_PHYSICS
+    error = json.loads(blob)["error"]
+    assert error["type"] == "ValueError"
+    assert "36 molecules" in error["message"] and "\n" not in error["message"]
+
+
 def test_simulate_seed_flag_changes_the_stream(tmp_path):
     path = write_run(tmp_path, {"kind": "simulate", "circuit": "c.txt"},
                      circuit="H 0\nMEASURE 0\n",
@@ -257,7 +290,7 @@ def test_bell_scenario_counts_and_determinism(tmp_path):
     assert all(r["classification"] == "psi_minus" for r in rows)
     assert all(r["round1"] == "I_mid" and r["round2"] == "I_mid" for r in rows)
 
-    # concurrent execution must not change a single byte
+    # workers > 1 must not change a single byte
     path4 = write_run(tmp_path, scenario, name="run4.json", workers=4)
     _, blob4 = run_cli(path4, tmp_path / "b.json")
     assert blob4 == blob
