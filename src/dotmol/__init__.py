@@ -24,13 +24,10 @@ from .physics import (DetuningWaveform, MoleculeParams, SweepWindow,
                       charge_branch_energies, charge_hamiltonian, full_sweep,
                       hold_at, hybridized_states, sin_sq_mixing, square_pulse,
                       sweep_rate_window, validate_waveform)
-from .register import (ORACLE_MOLECULE_LIMIT, EncodedRegisterState,
-                       OracleState, Rotation, align_global_phase,
+from .register import (EncodedRegisterState, Rotation, align_global_phase,
                        apply_rotation, cnot, euler_x_sequence, ising_phase,
-                       molecule_probabilities, oracle_evolve,
-                       oracle_from_encoded, oracle_to_encoded,
-                       phase_from_waveform, product_state, state_json,
-                       states_equal)
+                       molecule_probabilities, phase_from_waveform,
+                       product_state, state_json, states_equal)
 from .scheduler import (ECHO_FACTOR, READ_LIMIT_MESSAGE, Action,
                         BudgetReport, BudgetViolation, CompileError, Gate,
                         RuleViolation, ScheduleProgram, ScheduleStep,
@@ -54,11 +51,10 @@ __all__ = [
     "adiabatic_angle", "charge_branch_energies", "charge_hamiltonian",
     "full_sweep", "hold_at", "hybridized_states", "sin_sq_mixing",
     "square_pulse", "sweep_rate_window", "validate_waveform",
-    "ORACLE_MOLECULE_LIMIT", "EncodedRegisterState", "OracleState",
-    "Rotation", "align_global_phase", "apply_rotation", "cnot",
-    "euler_x_sequence", "ising_phase", "molecule_probabilities",
-    "oracle_evolve", "oracle_from_encoded", "oracle_to_encoded",
-    "phase_from_waveform", "product_state", "state_json", "states_equal",
+    "EncodedRegisterState", "Rotation", "align_global_phase",
+    "apply_rotation", "cnot", "euler_x_sequence", "ising_phase",
+    "molecule_probabilities", "phase_from_waveform", "product_state",
+    "state_json", "states_equal",
     "ECHO_FACTOR", "READ_LIMIT_MESSAGE", "Action", "BudgetReport",
     "BudgetViolation", "CompileError", "Gate", "RuleViolation",
     "ScheduleProgram", "ScheduleStep", "compile_circuit", "init_schedule",

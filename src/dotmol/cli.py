@@ -52,18 +52,26 @@ class RunConfig:
             raise ConfigError(f"format must be json or csv, not {self.out_format!r}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.safety_factor < 1:
-            raise ConfigError("safety_factor must be >= 1")
+        if not (math.isfinite(self.safety_factor) and self.safety_factor >= 1):
+            raise ConfigError("safety_factor must be finite and >= 1")
 
 
 def _build_topology(data: dict) -> Topology:
     kind = data.get("kind", "line")
     if kind == "line":
-        return Topology.line(int(data.get("n", 2)))
+        return Topology.line(_scalar(int, data.get("n", 2), "n"))
     if kind == "grid":
-        return Topology.grid(int(data["rows"]), int(data["cols"]),
-                             diagonal=bool(data.get("diagonal", True)))
+        return Topology.grid(_scalar(int, data.get("rows"), "rows"),
+                             _scalar(int, data.get("cols"), "cols"),
+                             diagonal=_flag(data.get("diagonal", True), "diagonal"))
     raise ConfigError(f"unknown topology kind {kind!r}")
+
+
+def _flag(value, key: str) -> bool:
+    """A JSON boolean; anything else, "false" included, is a ConfigError."""
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, not {value!r}")
+    return value
 
 
 def _scalar(convert, value, key: str):
@@ -80,7 +88,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config file {path} does not exist")
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a JSON object, not {type(data).__name__}")
@@ -101,7 +109,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     cfg = dict(
         seed=_scalar(int, data.get("seed", 0), "seed"),
         out_format=str(data.get("format", "json")),
-        echo=bool(data.get("echo", False)),
+        echo=_flag(data.get("echo", False), "echo"),
         workers=_scalar(int, data.get("workers", 1), "workers"),
         safety_factor=_scalar(float, data.get("safety_factor", 10.0), "safety_factor"),
     )
@@ -115,7 +123,7 @@ def _validate_scenario(scenario: dict, base: Path):
     kind = scenario["kind"]
     if kind in ("simulate", "compile"):
         circuit = scenario.get("circuit")
-        if not circuit:
+        if not isinstance(circuit, str) or not circuit:
             raise ConfigError(f"{kind} scenario needs a 'circuit' file")
         if not (base / circuit).is_file() and not Path(circuit).is_file():
             raise ConfigError(f"circuit file {circuit!r} does not exist")
@@ -131,8 +139,8 @@ def _validate_scenario(scenario: dict, base: Path):
                 raise ConfigError(f"sweep scenario needs finite {key!r}")
         if _scalar(int, scenario.get("points", 0), "points") < 2:
             raise ConfigError("sweep scenario needs points >= 2")
-        if "observable" not in scenario or "parameter" not in scenario:
-            raise ConfigError("sweep scenario needs 'parameter' and 'observable'")
+        if not all(isinstance(scenario.get(k), str) for k in ("parameter", "observable")):
+            raise ConfigError("sweep scenario needs 'parameter' and 'observable' strings")
 
 
 def parse_circuit(text: str) -> list[Gate]:
@@ -280,7 +288,7 @@ def _run_sweep(config: RunConfig) -> tuple[int, dict]:
             raise ValueError(f"unknown epsilon observable {observable!r}; "
                              f"choose from {sorted(_EPSILON_OBSERVABLES)}")
         lo, hi = config.params.detuning_min, config.params.detuning_max
-        if start < lo or stop > hi:
+        if min(start, stop) < lo or max(start, stop) > hi:
             raise ValueError(f"epsilon sweep must stay within [{lo:g}, {hi:g}] ueV")
         rows = [[v, float(fn(v, config))] for v in values]
     elif parameter == "inter_molecule_distance":
@@ -346,6 +354,12 @@ def run(config: RunConfig, config_dir: Path) -> tuple[int, bytes]:
     return code, _render(payload, config.out_format)
 
 
+def _usage_error(exc: ConfigError) -> int:
+    """Report a usage error on one stderr line, even if it quotes user text."""
+    print("error:", " ".join(str(exc).splitlines()), file=sys.stderr)
+    return EXIT_USAGE
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="dotmol",
@@ -366,14 +380,12 @@ def main(argv=None) -> int:
         config = load_config(args.config, overrides={
             "seed": args.seed, "out_format": args.format, "echo": args.echo})
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
 
     try:
         code, output = run(config, Path(args.config).parent)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage_error(exc)
     except (ValueError, ArithmeticError) as exc:
         record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         output = (json.dumps(record, sort_keys=True, indent=2) + "\n").encode()

@@ -116,8 +116,8 @@ class LayoutGeometry:
             raise ValueError(f"unknown layout {self.layout!r}")
         if self.layout == "in_line" and self.topology.kind != "line":
             raise ValueError("in_line layout supports only line topologies")
-        if self.relative_permittivity <= 0:
-            raise ValueError("relative_permittivity must be positive")
+        if not (self.relative_permittivity > 0 and math.isfinite(self.relative_permittivity)):
+            raise ValueError("relative_permittivity must be positive and finite")
 
     @property
     def coulomb_prefactor(self) -> float:

@@ -44,8 +44,10 @@ class MoleculeParams:
             raise ValueError("tunnel_coupling must be below charging_energy/10")
         if self.nuclear_field < 0 or not math.isfinite(self.nuclear_field):
             raise ValueError("nuclear_field must be >= 0 and finite")
-        if self.coherence_time <= 0:
-            raise ValueError("coherence_time must be positive")
+        if not math.isfinite(self.g_factor):
+            raise ValueError("g_factor must be finite")
+        if not (self.coherence_time > 0 and math.isfinite(self.coherence_time)):
+            raise ValueError("coherence_time must be positive and finite")
 
     @property
     def detuning_min(self) -> float:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 
 import numpy as np
 
@@ -431,12 +430,6 @@ def _reset_to_singlet(state: EncodedRegisterState, m: int) -> EncodedRegisterSta
     return EncodedRegisterState(out.reshape(-1), state.charge_flags)
 
 
-@lru_cache(maxsize=32)
-def _read_sweep_phase(g: LayoutGeometry, params: MoleculeParams, ramp: float) -> float:
-    """Ising phase of one full measurement sweep with the given ramp."""
-    return phase_from_waveform(full_sweep(params, ramp), g, params.tunnel_coupling)
-
-
 def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
                      params: MoleculeParams,
                      rng: np.random.Generator | None = None,
@@ -474,7 +467,8 @@ def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
                 i, j = action.molecules
                 sweep_phi = 0.0
                 if action.ramp > 0.0:
-                    sweep_phi = _read_sweep_phase(g, params, action.ramp)
+                    sweep_phi = phase_from_waveform(full_sweep(params, action.ramp), g,
+                                                    params.tunnel_coupling)
                 state = ising_phase(state, i, j, sweep_phi, adjacency)
                 state = state.with_flags({i: "02", j: "02"})
                 reading = qpc_read_pair(state, i, j, rng)

@@ -1,7 +1,16 @@
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from dotmol import LayoutGeometry, MoleculeParams, Topology
+
+# Hypothesis caches the constants it reads from source files under
+# ./.hypothesis, at collection time. The property tests keep no example
+# database, so send that cache to a directory removed when the run ends.
+_HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="dotmol-hypothesis-")
+set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
 
 
 @pytest.fixture

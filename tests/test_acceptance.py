@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 
+from charge_oracle import oracle_evolve, oracle_from_encoded, oracle_to_encoded
 from coulomb_oracle import pairwise_energy, perpendicular_molecule
 from dotmol import (READ_LIMIT_MESSAGE, Action, EncodedRegisterState, Gate,
                     LayoutGeometry, MoleculeParams, ScheduleProgram,
@@ -19,8 +20,7 @@ from dotmol import (READ_LIMIT_MESSAGE, Action, EncodedRegisterState, Gate,
                     bell_state, charge_hamiltonian, charge_sites, cnot,
                     compile_circuit, controlled_phase_hold_time,
                     doubly_occupied_interaction, hold_at, hybridized_states,
-                    init_schedule, ising_phase, oracle_evolve,
-                    oracle_from_encoded, oracle_to_encoded, pair_coupling,
+                    init_schedule, ising_phase, pair_coupling,
                     phase_from_waveform, sin_sq_mixing, sites_pair_energy,
                     square_pulse, substream, time_budget, validate_program)
 from dotmol.cli import main

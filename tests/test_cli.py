@@ -1,8 +1,14 @@
 """CLI: config loading, circuit parsing, scenarios, exit codes, determinism."""
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dotmol
 from dotmol import ScheduleProgram, Topology, validate_program
 from dotmol.cli import (EXIT_BUDGET_WARNINGS, EXIT_OK, EXIT_PHYSICS,
                         EXIT_USAGE, ConfigError, load_config, main,
@@ -149,7 +155,25 @@ BELL_SCENARIO = {"kind": "bell", "input": "psi_plus", "trials": 2}
     dict(BASE, scenario=BELL_SCENARIO, workers="two"),
     dict(BASE, scenario=BELL_SCENARIO, safety_factor=None),
     [dict(BASE, scenario=BELL_SCENARIO)],
-], ids=["trials", "seed", "workers", "safety_factor", "top_level_array"])
+    dict(BASE, scenario={"kind": "compile", "circuit": 5}),
+    dict(BASE, scenario={"kind": "simulate", "circuit": ["c.txt"]}),
+    dict(BASE, scenario=BELL_SCENARIO, echo="false"),
+    dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {
+        "kind": "grid", "rows": 1, "cols": 2, "diagonal": "false"}}),
+    dict(BASE, scenario=BELL_SCENARIO, safety_factor="nan"),
+    dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {"kind": "line", "n": 1e400}}),
+    dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {"kind": "grid", "cols": 2}}),
+    dict(BASE, scenario=BELL_SCENARIO, params={"g_factor": "x"}),
+    dict(BASE, scenario=BELL_SCENARIO, params={"coherence_time": math.nan}),
+    dict(BASE, scenario=BELL_SCENARIO, geometry={"relative_permittivity": math.nan}),
+    dict(BASE, scenario={"kind": "sweep", "parameter": "epsilon", "observable": ["h_cc"],
+                         "start": 0.0, "stop": 1.0, "points": 2}),
+    dict(BASE, scenario=BELL_SCENARIO, params={"tunnel\ncoupling": 1.0}),
+], ids=["trials", "seed", "workers", "safety_factor", "top_level_array",
+        "circuit_number", "circuit_list", "echo_string", "diagonal_string",
+        "safety_factor_nan", "n_infinite", "grid_without_rows", "g_factor_string",
+        "coherence_time_nan", "permittivity_nan", "observable_list",
+        "params_key_newline"])
 def test_malformed_scalars_exit_one_without_traceback(tmp_path, capsys, config):
     path = tmp_path / "r.json"
     path.write_text(json.dumps(config))
@@ -157,6 +181,16 @@ def test_malformed_scalars_exit_one_without_traceback(tmp_path, capsys, config):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("blob", [b'{"seed": "\xff"}', b"[" * 100_000],
+                         ids=["not_utf8", "nested_too_deep"])
+def test_unreadable_config_exits_one_without_traceback(tmp_path, capsys, blob):
+    path = tmp_path / "r.json"
+    path.write_bytes(blob)
+    assert main(["--config", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 # --- scenarios through main() ---
@@ -353,14 +387,16 @@ def test_sweep_distance_coupling_decreases(tmp_path):
 
 
 def test_sweep_out_of_range_is_a_physics_error(tmp_path):
-    path = write_run(tmp_path, {"kind": "sweep", "parameter": "epsilon",
-                                "observable": "h_cc", "start": -9000.0,
-                                "stop": 9000.0, "points": 5})
-    code, blob = run_cli(path, tmp_path / "out.json")
-    assert code == EXIT_PHYSICS
-    error = json.loads(blob)["error"]
-    assert error["type"] == "ValueError"
-    assert "within" in error["message"]
+    # a descending sweep is checked against the range too
+    for start, stop in ((-9000.0, 9000.0), (9000.0, 0.0)):
+        path = write_run(tmp_path, {"kind": "sweep", "parameter": "epsilon",
+                                    "observable": "h_cc", "start": start,
+                                    "stop": stop, "points": 5})
+        code, blob = run_cli(path, tmp_path / "out.json")
+        assert code == EXIT_PHYSICS
+        error = json.loads(blob)["error"]
+        assert error["type"] == "ValueError"
+        assert "within" in error["message"]
 
 
 def test_sweep_unknown_observable_is_reported(tmp_path):
@@ -396,3 +432,14 @@ def test_stdout_when_no_out_flag(tmp_path, capsysbinary):
     assert main(["--config", str(path)]) == EXIT_OK
     captured = capsysbinary.readouterr()
     assert json.loads(captured.out)["scenario"] == "sweep"
+
+
+def test_cli_import_pulls_in_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone
+    src = str(Path(dotmol.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import dotmol.cli, sys; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    result = subprocess.run([sys.executable, "-c", probe], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout.strip() == "[]"

@@ -3,13 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from dotmol import (EncodedRegisterState, LayoutGeometry, MoleculeParams,
-                    OracleState, Rotation, Topology, align_global_phase,
+from charge_oracle import (OracleState, oracle_evolve, oracle_from_encoded,
+                           oracle_to_encoded)
+from dotmol import (DetuningWaveform, EncodedRegisterState, LayoutGeometry,
+                    MoleculeParams, Rotation, Topology, align_global_phase,
                     apply_rotation, cnot, controlled_phase_hold_time,
-                    euler_x_sequence, hold_at, ising_phase,
-                    molecule_probabilities, oracle_evolve, oracle_from_encoded,
-                    oracle_to_encoded, pair_coupling, phase_from_waveform,
+                    euler_x_sequence, full_sweep, hold_at, ising_phase,
+                    molecule_probabilities, pair_coupling, phase_from_waveform,
                     product_state, sin_sq_mixing, square_pulse, state_json,
                     states_equal)
 from dotmol.constants import HBAR_UEV_NS
@@ -194,14 +196,14 @@ def test_align_and_states_equal(rng):
     assert not states_equal(amps, np.roll(amps, 1))
 
 
-# --- Ising phase quadrature ---
+# --- Ising phase integral ---
 
-def segment_integral(e0, e1, duration, tc):
-    """Closed-form integral of sin^2(theta) over one linear segment."""
-    if e0 == e1:
-        return duration * float(sin_sq_mixing(e0, tc))
-    rate = (e1 - e0) / duration
-    return duration / 2.0 + (math.hypot(e1, 2 * tc) - math.hypot(e0, 2 * tc)) / (2 * rate)
+def quad_phase(w, g, tc):
+    """Reference Ising phase: adaptive quadrature of sin^2(theta) per segment."""
+    total = sum(quad(lambda t: sin_sq_mixing(w.detuning_at(t), tc), t0, t1,
+                     epsabs=0.0, epsrel=1e-12, limit=200)[0]
+                for t0, t1, _, _ in w.segments())
+    return pair_coupling(g).coupling_max * total / HBAR_UEV_NS
 
 
 def test_phase_is_zero_at_idle(geometry, params):
@@ -245,29 +247,36 @@ def test_phase_linear_in_hold(geometry, params):
 
 
 def test_phase_quadrature_matches_closed_form(geometry, params):
+    # each waveform holds at -Ec/2, stays deep in (1,1), crosses eps = 0 and
+    # holds at +Ec/2; half of them run the same knots backwards
     rng = np.random.default_rng(31)
     tc = params.tunnel_coupling
-    coupling = pair_coupling(geometry).coupling_max
+    lo, hi = params.detuning_min, params.detuning_max
     for _ in range(20):
-        eps = np.sort(rng.uniform(-2500.0, 2500.0, size=3))
-        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, size=2))])
-        w = __import__("dotmol").DetuningWaveform(tuple(times), tuple(eps))
-        expected = sum(
-            segment_integral(e0, e1, t1 - t0, tc)
-            for t0, t1, e0, e1 in w.segments()) * coupling / HBAR_UEV_NS
-        actual = phase_from_waveform(w, geometry, tc)
-        assert math.isclose(actual, expected, rel_tol=1e-8, abs_tol=1e-12)
+        deep = np.sort(rng.uniform(lo, lo / 2.0, size=2))
+        eps = [lo, lo, *deep, rng.uniform(lo / 2.0, 0.0), rng.uniform(0.0, hi),
+               hi, hi]
+        if rng.random() < 0.5:
+            eps.reverse()
+        times = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 2.0, size=len(eps) - 1))])
+        w = DetuningWaveform(tuple(times), tuple(eps))
+        assert math.isclose(phase_from_waveform(w, geometry, tc),
+                            quad_phase(w, geometry, tc), rel_tol=1e-9)
+        # segment by segment, so a deep-(1,1) piece cannot hide behind the
+        # far larger +Ec/2 hold
+        for t0, t1, e0, e1 in w.segments():
+            piece = DetuningWaveform((t0, t1), (e0, e1))
+            assert math.isclose(phase_from_waveform(piece, geometry, tc),
+                                quad_phase(piece, geometry, tc), rel_tol=1e-9)
 
 
 def test_full_ramp_integral_is_half_duration(geometry, params):
     # symmetric ramp: the sin^2 integral is exactly half the ramp time
-    from dotmol import full_sweep
     coupling = pair_coupling(geometry).coupling_max
     for duration in (0.7, 1.0, 2.5):
         phi = phase_from_waveform(full_sweep(params, duration), geometry,
                                   params.tunnel_coupling)
-        expected = coupling * duration / 2.0 / HBAR_UEV_NS
-        assert math.isclose(phi, expected, rel_tol=1e-9)
+        assert phi == coupling * duration / 2.0 / HBAR_UEV_NS
 
 
 # --- charge-resolved oracle ---
