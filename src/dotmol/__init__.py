@@ -15,9 +15,10 @@ from .electrostatics import (LayoutGeometry, PairCoupling, Topology,
                              inline_crosstalk, inline_interaction,
                              nnn_coupling_ratio, pair_coupling,
                              sites_pair_energy)
-from .measurement import (BELL_LABELS, DEFAULT_CURRENTS, BellDecomposition,
-                          BellOutcome, QpcCurrents, QpcReading, bell_measure,
-                          bell_state, decompose_bell, pair_read_probabilities,
+from .measurement import (BELL_LABELS, DEFAULT_CURRENTS, BellBranches,
+                          BellDecomposition, BellOutcome, QpcCurrents,
+                          QpcReading, bell_branches, bell_measure, bell_state,
+                          decompose_bell, pair_read_probabilities,
                           qpc_read_pair, qpc_read_single)
 from .physics import (DetuningWaveform, MoleculeParams, SweepWindow,
                       WaveformViolation, adiabatic_angle,
@@ -43,8 +44,9 @@ __all__ = [
     "doubly_occupied_interaction", "h_cc", "inline_crosstalk",
     "inline_interaction", "nnn_coupling_ratio", "pair_coupling",
     "sites_pair_energy",
-    "BELL_LABELS", "DEFAULT_CURRENTS", "BellDecomposition", "BellOutcome",
-    "QpcCurrents", "QpcReading", "bell_measure", "bell_state",
+    "BELL_LABELS", "DEFAULT_CURRENTS", "BellBranches", "BellDecomposition",
+    "BellOutcome", "QpcCurrents", "QpcReading", "bell_branches",
+    "bell_measure", "bell_state",
     "decompose_bell", "pair_read_probabilities", "qpc_read_pair",
     "qpc_read_single",
     "DetuningWaveform", "MoleculeParams", "SweepWindow", "WaveformViolation",

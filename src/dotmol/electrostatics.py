@@ -19,6 +19,12 @@ import numpy as np
 
 from .constants import COULOMB_UEV_NM, GAAS_RELATIVE_PERMITTIVITY, HBAR_UEV_NS
 
+# Compiling even a one-gate circuit walks every molecule: a 300x300 grid
+# took 1.85 s and 114 MiB, about 20 us and 0.9 KiB per molecule. At 4,096
+# molecules (a 64x64 grid, 28x the 12x12 compile benchmark) the whole CLI
+# compile run took 0.26 s and 36 MiB.
+TOPOLOGY_MOLECULE_LIMIT = 4096
+
 
 @dataclass(frozen=True)
 class Topology:
@@ -44,6 +50,9 @@ class Topology:
                 raise ValueError("grid topology needs rows, cols >= 1")
         else:
             raise ValueError(f"unknown topology kind {self.kind!r}")
+        if self.size > TOPOLOGY_MOLECULE_LIMIT:
+            raise ValueError(f"topology has {self.size} molecules; at most "
+                             f"{TOPOLOGY_MOLECULE_LIMIT} are supported")
 
     @staticmethod
     def line(n: int) -> "Topology":

@@ -106,9 +106,13 @@ def decompose_bell(state: EncodedRegisterState) -> BellDecomposition:
     )
 
 
+# outcomes at or below this probability are never drawn
+_LIVE = 1e-15
+
+
 def _sample(rng: np.random.Generator, outcomes) -> str:
     """Draw from (label, probability) pairs; zero-weight branches excluded."""
-    live = [(label, p) for label, p in outcomes if p > 1e-15]
+    live = [(label, p) for label, p in outcomes if p > _LIVE]
     total = sum(p for _, p in live)
     u = rng.random() * total
     acc = 0.0
@@ -172,8 +176,13 @@ def qpc_read_pair(state: EncodedRegisterState, i: int, j: int,
     """
     if state.charge_flags[i] != "02" or state.charge_flags[j] != "02":
         raise ValueError("pair read needs both molecules swept to +Ec/2")
-    probs = pair_read_probabilities(state, i, j)
-    level = _sample(rng, tuple(probs.items()))
+    level = _sample(rng, tuple(pair_read_probabilities(state, i, j).items()))
+    return _pair_reading(state, i, j, level, currents, accumulated_phase)
+
+
+def _pair_reading(state: EncodedRegisterState, i: int, j: int, level: str,
+                  currents: QpcCurrents, accumulated_phase: float) -> QpcReading:
+    """The reading of a swept pair at a given level, with its collapsed state."""
     amps = state.amplitudes.copy()
     view = pair_view(amps, i, j)
     for a, b in _REJECTED[level]:
@@ -218,53 +227,92 @@ def _measurement_sweep(g: LayoutGeometry, params: MoleculeParams,
     return ramp, phi
 
 
-def bell_measure(state: EncodedRegisterState, i: int, j: int,
-                 g: LayoutGeometry, params: MoleculeParams,
-                 rng: np.random.Generator, safety_factor: float = 10.0,
-                 currents: QpcCurrents = DEFAULT_CURRENTS) -> BellOutcome:
-    """Two-round QPC Bell measurement on adjacent molecules i, j.
+Outcomes = tuple[tuple[str, float], ...]
+
+
+@dataclass(frozen=True)
+class BellBranches:
+    """Every way the two-round Bell measurement of one state can end.
+
+    round1 holds the first read's (level, p) pairs in
+    pair_read_probabilities order. round2 maps each live round-one level
+    to the second read's pairs, or to None when that level is not I_mid.
+    outcomes maps (round1, round2) to the finished BellOutcome, with
+    round2 None after a round-one I_max or I_min. Only the draws are left:
+    sample() spends one uniform per read, in protocol order.
+    """
+
+    round1: Outcomes
+    round2: dict[str, Outcomes | None]
+    outcomes: dict[tuple[str, str | None], BellOutcome]
+
+    def sample(self, rng: np.random.Generator) -> BellOutcome:
+        level1 = _sample(rng, self.round1)
+        second = self.round2[level1]
+        level2 = None if second is None else _sample(rng, second)
+        return self.outcomes[level1, level2]
+
+
+def bell_branches(state: EncodedRegisterState, i: int, j: int,
+                  g: LayoutGeometry, params: MoleculeParams,
+                  safety_factor: float = 10.0,
+                  currents: QpcCurrents = DEFAULT_CURRENTS) -> BellBranches:
+    """Branch table of the two-round QPC Bell measurement on adjacent i, j.
 
     Round one sweeps both to +Ec/2 and reads. I_max or I_min means the Phi
     sector (or the matching product state) and the protocol stops. I_mid
     heralds the Psi sector: sweep back, Hadamard each molecule in turn
     (never both charge-displaced at once), sweep out and read again; Psi+
     has been rotated into the Phi sector while Psi- is immune to the
-    rotation, so a second I_mid identifies Psi- with certainty.
+    rotation, so a second I_mid identifies Psi- with certainty. Every live
+    branch is followed once; nothing here draws a random number.
     """
     adjacency = g.topology.adjacency()
     _, sweep_phi = _measurement_sweep(g, params, safety_factor)
-    phi = 0.0
 
-    def sweep_out(s):
-        nonlocal phi
+    def sweep_out(s, phi):
         s = ising_phase(s, i, j, sweep_phi, adjacency)
-        phi += sweep_phi
-        return s.with_flags({i: "02", j: "02"})
+        return s.with_flags({i: "02", j: "02"}), phi + sweep_phi
 
-    def sweep_home(s):
-        nonlocal phi
+    def sweep_home(s, phi):
         s = s.with_flags({i: "11", j: "11"})
-        s = ising_phase(s, i, j, sweep_phi, adjacency)
-        phi += sweep_phi
-        return s
+        return ising_phase(s, i, j, sweep_phi, adjacency), phi + sweep_phi
 
-    state = sweep_out(state)
-    reading1 = qpc_read_pair(state, i, j, rng, currents, accumulated_phase=phi)
+    def read(s, phi):
+        """(level, p) pairs of a swept pair and the reading for each live level."""
+        probs = tuple(pair_read_probabilities(s, i, j).items())
+        return probs, {level: _pair_reading(s, i, j, level, currents, phi)
+                       for level, p in probs if p > _LIVE}
 
-    if reading1.level != "I_mid":
-        final = sweep_home(reading1.post_state)
-        classification = ("tt_or_phi_sector" if reading1.level == "I_max"
-                          else "ss_or_phi_sector")
-        return BellOutcome(reading1.level, None, classification, phi,
-                           reading1, None, final)
+    round1, readings1 = read(*sweep_out(state, 0.0))
+    round2: dict[str, Outcomes | None] = {}
+    outcomes: dict[tuple[str, str | None], BellOutcome] = {}
+    for level1, reading1 in readings1.items():
+        state, phi = sweep_home(reading1.post_state, reading1.accumulated_phase)
+        if level1 != "I_mid":
+            round2[level1] = None
+            classification = ("tt_or_phi_sector" if level1 == "I_max"
+                              else "ss_or_phi_sector")
+            outcomes[level1, None] = BellOutcome(level1, None, classification, phi,
+                                                 reading1, None, state)
+            continue
+        hadamard = Rotation.hadamard()
+        state = apply_rotation(state, i, hadamard)
+        state = apply_rotation(state, j, hadamard)
+        round2[level1], readings2 = read(*sweep_out(state, phi))
+        for level2, reading2 in readings2.items():
+            final, final_phi = sweep_home(reading2.post_state,
+                                          reading2.accumulated_phase)
+            classification = "psi_minus" if level2 == "I_mid" else "psi_plus"
+            outcomes[level1, level2] = BellOutcome(level1, level2, classification,
+                                                   final_phi, reading1, reading2, final)
+    return BellBranches(round1, round2, outcomes)
 
-    state = sweep_home(reading1.post_state)
-    hadamard = Rotation.hadamard()
-    state = apply_rotation(state, i, hadamard)
-    state = apply_rotation(state, j, hadamard)
-    state = sweep_out(state)
-    reading2 = qpc_read_pair(state, i, j, rng, currents, accumulated_phase=phi)
-    final = sweep_home(reading2.post_state)
-    classification = "psi_minus" if reading2.level == "I_mid" else "psi_plus"
-    return BellOutcome(reading1.level, reading2.level, classification, phi,
-                       reading1, reading2, final)
+
+def bell_measure(state: EncodedRegisterState, i: int, j: int,
+                 g: LayoutGeometry, params: MoleculeParams,
+                 rng: np.random.Generator, safety_factor: float = 10.0,
+                 currents: QpcCurrents = DEFAULT_CURRENTS) -> BellOutcome:
+    """Two-round QPC Bell measurement on adjacent molecules i, j: one draw
+    from bell_branches per read."""
+    return bell_branches(state, i, j, g, params, safety_factor, currents).sample(rng)

@@ -1,4 +1,5 @@
 """CLI: config loading, circuit parsing, scenarios, exit codes, determinism."""
+import hashlib
 import json
 import math
 import os
@@ -7,12 +8,14 @@ import sys
 from pathlib import Path
 
 import pytest
+from bell_reference import reference_bell
 
 import dotmol
-from dotmol import ScheduleProgram, Topology, validate_program
-from dotmol.cli import (EXIT_BUDGET_WARNINGS, EXIT_OK, EXIT_PHYSICS,
-                        EXIT_USAGE, ConfigError, load_config, main,
-                        parse_circuit)
+from dotmol import (BELL_LABELS, ScheduleProgram, Topology, bell_state,
+                    substream, validate_program)
+from dotmol.cli import (BELL_TRIAL_LIMIT, EXIT_BUDGET_WARNINGS, EXIT_OK,
+                        EXIT_PHYSICS, EXIT_USAGE, SWEEP_POINT_LIMIT,
+                        ConfigError, load_config, main, parse_circuit, run)
 
 BASE = {
     "geometry": {"topology": {"kind": "line", "n": 2}},
@@ -360,6 +363,45 @@ def test_bell_csv_rendering(tmp_path):
     assert all(line.split(",")[2] == "phi_plus" for line in lines[1:])
 
 
+# sha256 of `bell` JSON output, 50 trials, as written before the branch
+# table; psi_minus never draws a different outcome, so both seeds agree
+BELL_GOLDEN = {
+    (7, "phi_plus"): "40545d333cc709e09879f4a5c160749a408c2706297f38f464fd0ed64c981449",
+    (7, "phi_minus"): "29e10dad91d9a843049e1e58b154b83475ff7544f186b8a7fdd6f5b32cf7f229",
+    (7, "psi_plus"): "6799bc286a60c4b6cd7be8c06c027b3457d18004141e57a9841e73e7be01027b",
+    (7, "psi_minus"): "bdd80d065f3c7b6b72dc0cc6e216382f8d0dd34af9f45b385301960e1ce04c6f",
+    (1201, "phi_plus"): "d5659ad6e2fc5badcb7bb6e43ab39112f2fea9ab20af32812d6d0eac19d4827c",
+    (1201, "phi_minus"): "5492ac42a9f5d615302e7709bd91ef14bd42164d6bf685a875d59d4e5c591a33",
+    (1201, "psi_plus"): "66fff922e21cc7942159baa4ff39dc1a09fe57f7f8e5386fcabfe1fae68de5d6",
+    (1201, "psi_minus"): "bdd80d065f3c7b6b72dc0cc6e216382f8d0dd34af9f45b385301960e1ce04c6f",
+}
+
+
+@pytest.mark.parametrize("seed,label", sorted(BELL_GOLDEN))
+def test_bell_output_bytes_are_pinned(tmp_path, seed, label):
+    path = write_run(tmp_path, {"kind": "bell", "input": label, "trials": 50},
+                     seed=seed)
+    code, blob = run_cli(path, tmp_path / "out.json")
+    assert code == EXIT_OK
+    assert hashlib.sha256(blob).hexdigest() == BELL_GOLDEN[seed, label]
+
+
+@pytest.mark.parametrize("label", BELL_LABELS)
+def test_bell_table_path_matches_step_by_step_reference(tmp_path, label):
+    cfg = load_config(write_run(tmp_path, {"kind": "bell", "input": label,
+                                           "trials": 500}, seed=11))
+    code, blob = run(cfg, tmp_path)
+    assert code == EXIT_OK
+    rows = bell_rows(blob)
+    assert len(rows) == 500
+    for row in rows:
+        rng = substream(11, "bell", label, row["trial"])
+        expected = reference_bell(bell_state(label), 0, 1, cfg.geometry,
+                                  cfg.params, rng)[:4]
+        assert (row["round1"], row["round2"], row["classification"],
+                row["phi"]) == expected
+
+
 def test_sweep_epsilon_h_cc_monotone(tmp_path):
     path = write_run(tmp_path, {"kind": "sweep", "parameter": "epsilon",
                                 "observable": "h_cc", "start": -2000.0,
@@ -443,3 +485,48 @@ def test_cli_import_pulls_in_no_scipy():
     result = subprocess.run([sys.executable, "-c", probe], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("target", ["directory", "missing/out.json"])
+def test_unwritable_out_exits_one_without_traceback(tmp_path, capsys, target):
+    (tmp_path / "directory").mkdir()
+    for scenario in ({"kind": "sweep", "parameter": "epsilon", "observable": "h_cc",
+                      "start": -10.0, "stop": 10.0, "points": 3},
+                     {"kind": "sweep", "parameter": "epsilon", "observable": "h_cc",
+                      "start": -9000.0, "stop": 9000.0, "points": 3}):
+        path = write_run(tmp_path, scenario)
+        code = main(["--config", str(path), "--out", str(tmp_path / target)])
+        assert code == EXIT_USAGE  # the second case would otherwise exit 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_trials_and_points_have_an_upper_bound(tmp_path):
+    # load_config only validates, so neither limit allocates a row
+    bell = {"kind": "bell", "input": "phi_plus"}
+    sweep = {"kind": "sweep", "parameter": "epsilon", "observable": "h_cc",
+             "start": -10.0, "stop": 10.0}
+    for scenario, key, limit in ((bell, "trials", BELL_TRIAL_LIMIT),
+                                 (sweep, "points", SWEEP_POINT_LIMIT)):
+        assert load_config(write_run(tmp_path, dict(scenario, **{key: limit})))
+        path = write_run(tmp_path, dict(scenario, **{key: limit + 1}))
+        with pytest.raises(ConfigError, match=key):
+            load_config(path)
+        assert main(["--config", str(path)]) == EXIT_USAGE
+
+
+def test_topology_size_is_bounded_before_adjacency(tmp_path, capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("adjacency() ran on an oversized topology")
+
+    monkeypatch.setattr(Topology, "adjacency", refuse)
+    for topology in ({"kind": "grid", "rows": 100_000, "cols": 100_000},
+                     {"kind": "line", "n": 4097}):
+        path = write_run(tmp_path, {"kind": "compile", "circuit": "c.txt"},
+                         circuit="CZ 0 1\n", geometry={"topology": topology})
+        assert main(["--config", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "at most 4096" in err
+    assert Topology.grid(64, 64).size == 4096
+    with pytest.raises(ValueError, match="4160 molecules"):
+        Topology.grid(64, 65)

@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from bell_reference import reference_bell
 
 from dotmol import (BELL_LABELS, EncodedRegisterState, QpcCurrents,
-                    bell_measure, bell_state, decompose_bell,
+                    bell_branches, bell_measure, bell_state, decompose_bell,
                     pair_read_probabilities, product_state, qpc_read_pair,
                     qpc_read_single, substream)
 
@@ -211,3 +212,50 @@ def test_bell_identical_seed_identical_outcome(geometry, params):
     assert (a.round1, a.round2, a.classification, a.phi) == \
         (b.round1, b.round2, b.classification, b.phi)
     assert np.array_equal(a.final_state.amplitudes, b.final_state.amplitudes)
+
+
+def reference_states(rng):
+    """Product, Bell and random normalized two-molecule states."""
+    states = [product_state("TT"), product_state("SS"), product_state("TS")]
+    states += [bell_state(label) for label in BELL_LABELS]
+    for _ in range(30):
+        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
+        states.append(EncodedRegisterState(amps / np.linalg.norm(amps), ("11", "11")))
+    return states
+
+
+def test_bell_measure_matches_step_by_step_reference(geometry, params, rng):
+    for k, state in enumerate(reference_states(rng)):
+        for trial in range(10):
+            ours_rng = substream(5, "reference", k, trial)
+            ref_rng = substream(5, "reference", k, trial)
+            outcome = bell_measure(state, 0, 1, geometry, params, ours_rng)
+            *fields, final = reference_bell(state, 0, 1, geometry, params, ref_rng)
+            assert (outcome.round1, outcome.round2, outcome.classification,
+                    outcome.phi) == tuple(fields)
+            assert np.array_equal(outcome.final_state.amplitudes, final.amplitudes)
+            assert outcome.final_state.charge_flags == final.charge_flags
+            # same number of draws: the streams continue in step
+            assert ours_rng.random() == ref_rng.random()
+
+
+def test_bell_branches_hold_every_live_outcome(geometry, params, rng):
+    for state in reference_states(rng):
+        branches = bell_branches(state, 0, 1, geometry, params)
+        live1 = [level for level, p in branches.round1 if p > 1e-15]
+        assert sum(p for _, p in branches.round1) == pytest.approx(1.0, abs=1e-12)
+        assert sorted(branches.round2) == sorted(live1)
+        leaves = set()
+        for level1 in live1:
+            second = branches.round2[level1]
+            if level1 != "I_mid":
+                assert second is None
+                leaves.add((level1, None))
+                continue
+            assert sum(p for _, p in second) == pytest.approx(1.0, abs=1e-12)
+            leaves.update((level1, level2) for level2, p in second if p > 1e-15)
+        assert set(branches.outcomes) == leaves
+        for (level1, level2), outcome in branches.outcomes.items():
+            assert (outcome.round1, outcome.round2) == (level1, level2)
+            assert outcome.reading1.level == level1
+            assert outcome.final_state.charge_flags == ("11", "11")
