@@ -16,6 +16,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .electrostatics import (LayoutGeometry, Topology, background_interaction,
@@ -326,6 +327,63 @@ def _run_sweep(config: RunConfig) -> tuple[int, dict]:
     return EXIT_OK, payload
 
 
+# json's spellings of the floats that float.__repr__ writes as nan and inf
+_JSON_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_chunks(value, lead: str, pad: str, out: list[str]) -> None:
+    """Append value to out as json.dumps(value, sort_keys=True, indent=2)
+    writes it, nested at indent pad, with lead (the separator before it)
+    and each scalar in one chunk. Keys must be str; any other key or
+    value type is a TypeError."""
+    if isinstance(value, str):
+        out.append(lead + encode_basestring_ascii(value))
+    elif isinstance(value, float):
+        text = float.__repr__(value)
+        out.append(lead + _JSON_SPECIAL_FLOATS.get(text, text))
+    elif value is None or value is True or value is False:
+        out.append(lead + ("null" if value is None else "true" if value else "false"))
+    elif isinstance(value, int):
+        out.append(lead + int.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append(lead + "[]")
+            return
+        inner = pad + "  "
+        lead += "[\n" + inner
+        for item in value:
+            _json_chunks(item, lead, inner, out)
+            lead = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append(lead + "{}")
+            return
+        inner = pad + "  "
+        lead += "{\n" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            _json_chunks(value[key], lead + encode_basestring_ascii(key) + ": ",
+                         inner, out)
+            lead = ",\n" + inner
+        out.append("\n" + pad + "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} "
+                        "is not JSON serializable")
+
+
+def _indented_json(payload) -> bytes:
+    """json.dumps(payload, sort_keys=True, indent=2) plus a newline, as bytes,
+    without the pure-Python encoder that indent switches json to."""
+    out: list[str] = []
+    _json_chunks(payload, "", "", out)
+    out.append("\n")
+    text = "".join(out)
+    out.clear()  # free the chunks before the bytes copy
+    return text.encode()
+
+
 def _render(payload: dict, out_format: str) -> bytes:
     if out_format == "json":
         if payload.get("scenario") == "bell":
@@ -333,7 +391,7 @@ def _render(payload: dict, out_format: str) -> bytes:
             # never rewrites earlier lines
             return ("\n".join(json.dumps(row, sort_keys=True)
                               for row in payload["outcomes"]) + "\n").encode()
-        return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+        return _indented_json(payload)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     kind = payload.get("scenario")
@@ -405,7 +463,7 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         code = EXIT_PHYSICS
-        output = (json.dumps(record, sort_keys=True, indent=2) + "\n").encode()
+        output = _indented_json(record)
 
     if not args.out:
         sys.stdout.buffer.write(output)

@@ -91,9 +91,17 @@ class Topology:
                         pairs.add((min(i, j), max(i, j)))
         return frozenset(pairs)
 
+    def neighbor_table(self) -> tuple[frozenset[int], ...]:
+        """Neighbours of every molecule, by index, from one adjacency() pass."""
+        table: list[set[int]] = [set() for _ in range(self.size)]
+        for i, j in self.adjacency():
+            table[i].add(j)
+            table[j].add(i)
+        return tuple(map(frozenset, table))
+
     def neighbors(self, index: int) -> frozenset[int]:
-        return frozenset(b if a == index else a
-                         for a, b in self.adjacency() if index in (a, b))
+        """Neighbours of one molecule; none for an index outside the register."""
+        return self.neighbor_table()[index] if 0 <= index < self.size else frozenset()
 
 
 @dataclass(frozen=True)

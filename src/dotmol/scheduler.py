@@ -151,8 +151,7 @@ def init_schedule(topology: Topology, params: MoleculeParams | None = None,
     is the greedy color count: 2 on a line, 4 on a diagonal-adjacency grid
     (2 edge-only), scanning molecules in index order.
     """
-    adjacency = topology.adjacency()
-    neighbors = {i: topology.neighbors(i) for i in range(topology.size)}
+    neighbors = topology.neighbor_table()
     colors: dict[int, int] = {}
     for m in range(topology.size):
         taken = {colors[o] for o in neighbors[m] if o in colors}
@@ -255,17 +254,15 @@ def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams,
     measurements schedule both rounds (the static worst case).
     """
     size = g.topology.size
-    adjacency = g.topology.adjacency()
+    neighbors = g.topology.neighbor_table()
     for gate in gates:
         if any(q < 0 or q >= size for q in gate.qubits):
             raise CompileError(f"{gate.kind} on {gate.qubits} is out of range "
                                f"for {size} molecules")
-        if len(gate.qubits) == 2:
-            pair = (min(gate.qubits), max(gate.qubits))
-            if pair not in adjacency:
-                raise CompileError(
-                    f"{gate.kind} on non-adjacent molecules {gate.qubits}; "
-                    "routing is not supported, rewrite the circuit")
+        if len(gate.qubits) == 2 and gate.qubits[1] not in neighbors[gate.qubits[0]]:
+            raise CompileError(
+                f"{gate.kind} on non-adjacent molecules {gate.qubits}; "
+                "routing is not supported, rewrite the circuit")
 
     gate_ramp = gate_hold = None
     meas_ramp = None
@@ -283,39 +280,37 @@ def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams,
                              duration=2.0 * meas_ramp + action.read_duration)
         actions.append(action)
 
+    # Per step: its actions, the neighbours of its displaced molecules, and
+    # whether it holds a read. Reads are sensitive to any nearby charge
+    # motion, so a read opens a step of its own and no later action joins
+    # it. Two actions' displaced molecules are adjacent exactly when one's
+    # displaced set meets the other's neighbour set. A molecule's actions
+    # land in increasing steps, so no step from `earliest` on holds one of
+    # the action's molecules.
     steps: list[list[Action]] = []
+    near: list[set[int]] = []
+    holds_read: list[bool] = []
     frontier = [0] * size
     for action in actions:
-        earliest = max((frontier[m] for m in action.molecules), default=0)
-        placed = None
-        for s in range(earliest, len(steps)):
-            if _fits(steps[s], action, adjacency):
-                placed = s
-                break
-        if placed is None:
+        read = action.kind in ("read_single", "read_pair")
+        displaced = action.displaced
+        placed = len(steps)
+        if not read:
+            earliest = max((frontier[m] for m in action.molecules), default=0)
+            for s in range(earliest, len(steps)):
+                if not holds_read[s] and near[s].isdisjoint(displaced):
+                    placed = s
+                    break
+        if placed == len(steps):
             steps.append([])
-            placed = len(steps) - 1
+            near.append(set())
+            holds_read.append(read)
         steps[placed].append(action)
+        for m in displaced:
+            near[placed].update(neighbors[m])
         for m in action.molecules:
             frontier[m] = placed + 1
     return ScheduleProgram(tuple(ScheduleStep(tuple(s)) for s in steps), size)
-
-
-def _fits(step: list[Action], action: Action, adjacency) -> bool:
-    used = {m for a in step for m in a.molecules}
-    if used & set(action.molecules):
-        return False
-    # Reads are sensitive to any nearby charge motion: they get their own step.
-    if action.kind in ("read_single", "read_pair") and step:
-        return False
-    if any(a.kind in ("read_single", "read_pair") for a in step):
-        return False
-    for other in step:
-        for x in action.displaced:
-            for y in other.displaced:
-                if (min(x, y), max(x, y)) in adjacency:
-                    return False
-    return True
 
 
 def validate_program(program: ScheduleProgram,
@@ -333,9 +328,10 @@ def validate_program(program: ScheduleProgram,
                     out.append(RuleViolation(s, "overlapping-actions", (m,),
                                              f"step {s}: molecule {m} is in two actions"))
                 seen[m] = k
-        for a_idx in range(len(step.actions)):
-            for b_idx in range(a_idx + 1, len(step.actions)):
-                a, b = step.actions[a_idx], step.actions[b_idx]
+        # only charge-displaced actions can be close to one another
+        charged = [a for a in step.actions if a.displaced]
+        for a_idx, a in enumerate(charged):
+            for b in charged[a_idx + 1:]:
                 close = [(x, y) for x in a.displaced for y in b.displaced
                          if (min(x, y), max(x, y)) in adjacency]
                 if not close:

@@ -3,6 +3,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -400,6 +401,75 @@ def test_bell_table_path_matches_step_by_step_reference(tmp_path, label):
                                   cfg.params, rng)[:4]
         assert (row["round1"], row["round2"], row["classification"],
                 row["phi"]) == expected
+
+
+def json_run(tmp_path, case, seed):
+    """Config path of one indented-JSON case; the seed draws its inputs."""
+    rnd = random.Random(seed)
+    if case in ("compile", "simulate"):
+        topology = Topology.grid(2, 3) if case == "compile" else Topology.grid(2, 2)
+        pairs = sorted(topology.adjacency())
+        lines = []
+        for _ in range(40):
+            op = rnd.choice(["H", "Z", "XZ", "CNOT", "CZ", "MEASURE", "BELL"])
+            if op in ("CNOT", "CZ", "BELL"):
+                lines.append(f"{op} {' '.join(map(str, rnd.choice(pairs)))}")
+            else:
+                angles = {"H": [], "MEASURE": [], "Z": [rnd.uniform(-4, 4)],
+                          "XZ": [rnd.uniform(0, 3), rnd.uniform(-4, 4)]}[op]
+                lines.append(" ".join([op, str(rnd.randrange(topology.size)),
+                                       *map(repr, angles)]))
+        if case == "simulate":
+            lines = [line for line in lines if not line.startswith("BELL")]
+        return write_run(tmp_path, {"kind": case, "circuit": "c.txt"},
+                         circuit="\n".join(lines) + "\n", seed=seed,
+                         geometry={"topology": {"kind": "grid", "rows": topology.rows,
+                                                "cols": topology.cols}},
+                         params={"coherence_time": rnd.choice([5e6, 5e7])})
+    if case == "compile_budget":
+        # CZ rounds on a line overrun the default coherence window
+        cz = [f"CZ {i} {i + 1}" for _ in range(4) for i in range(rnd.randint(2, 4))]
+        return write_run(tmp_path, {"kind": "compile", "circuit": "c.txt"},
+                         circuit="\n".join(cz) + "\nMEASURE 0\n", seed=seed,
+                         geometry={"topology": {"kind": "line", "n": 5}})
+    if case == "sweep_epsilon":
+        return write_run(tmp_path, {"kind": "sweep", "parameter": "epsilon",
+                                    "observable": rnd.choice(["h_cc", "branch_gap"]),
+                                    "start": rnd.uniform(-3000, 0), "stop": rnd.uniform(0, 3000),
+                                    "points": rnd.randint(5, 40)}, seed=seed)
+    if case == "sweep_distance":
+        return write_run(tmp_path, {"kind": "sweep", "parameter": "inter_molecule_distance",
+                                    "observable": rnd.choice(["nnn_ratio", "coupling_max"]),
+                                    "start": rnd.uniform(200, 300), "stop": rnd.uniform(300, 900),
+                                    "points": rnd.randint(5, 40)}, seed=seed)
+    # a physics error whose message quotes a name with escapes and non-ASCII
+    return write_run(tmp_path, {"kind": "sweep", "parameter": "epsilon",
+                                "observable": f"h\u00e9\"{rnd.randint(0, 99)}\\\t",
+                                "start": 0.0, "stop": 1.0, "points": 3}, seed=seed)
+
+
+# sha256 and exit code of the indented-JSON output of each case, as written
+# by json.dumps(payload, sort_keys=True, indent=2) before the direct writer
+JSON_GOLDEN = {
+    ("compile", 7): (0, "c7ad725eb714526150b4249cf621fb0ace0708405fa0aa898ef8cef92f53720d"),
+    ("compile", 1201): (0, "497751752a57dd68cb3caa9c48e6d81a078f6b776338af1eaf5f4f5d07a8a842"),
+    ("compile_budget", 7): (3, "f88a7e925e7718ab8bccebb77ebbcec3dbba39fd19c84a558925c9767cea7507"),
+    ("compile_budget", 1201): (3, "d24578ab4acfbf6db3c2c0e47af259ab0a65513b96517397589e811b5df5fb7e"),
+    ("simulate", 7): (0, "fe4655036e8799ea52fcbb46d04968584e599566e668b4e1bea5534d4a129a4a"),
+    ("simulate", 1201): (0, "973f34b6e5bd806fac2bddc7e26613f9c27bc6bfc796d46fbbfdfbf293460fd7"),
+    ("sweep_epsilon", 7): (0, "bab91f7c48731aab141969b59e1f3b0c29b62951fb10ec63d3864d68feb978ec"),
+    ("sweep_epsilon", 1201): (0, "2fc385fb3b47ff05b83dbe29051493ffb34e5b8ab683f2bc7c17b4a6e7300928"),
+    ("sweep_distance", 7): (0, "8efdfa3a0aef3f9c192e8328e5438405617729ca191a817526a78b877e03ebe4"),
+    ("sweep_distance", 1201): (0, "e13eb70ba0f6176ec5444cd2b61712ca1ffa7ec5f5fbba09f81815432ebc03c1"),
+    ("error", 7): (2, "e19e3029c99b3bf6b5d32fd525809e588afe494c067efdd9fd50973759dae493"),
+    ("error", 1201): (2, "8e9da87d60e8e23aec9bca766666c236b511330b68a52fa9a5c8f858ade7487a"),
+}
+
+
+@pytest.mark.parametrize("case,seed", sorted(JSON_GOLDEN))
+def test_json_output_bytes_are_pinned(tmp_path, case, seed):
+    code, blob = run_cli(json_run(tmp_path, case, seed), tmp_path / "out.json")
+    assert (code, hashlib.sha256(blob).hexdigest()) == JSON_GOLDEN[case, seed]
 
 
 def test_sweep_epsilon_h_cc_monotone(tmp_path):

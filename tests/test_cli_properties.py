@@ -4,6 +4,9 @@ Every drawn input runs through cli.main. It must return one of the four
 exit codes, and stderr must never carry a Python traceback; a usage error
 (exit 1) is exactly one "error: " line. Register sizes, trial counts and
 sweep points stay small, so no example asks for a large allocation.
+
+The CLI's indented-JSON writer must write every drawn payload exactly as
+json.dumps(payload, sort_keys=True, indent=2) does.
 """
 import contextlib
 import copy
@@ -11,11 +14,12 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from dotmol.cli import main
+from dotmol.cli import _indented_json, main
 
 PROPERTY_SETTINGS = settings(
     max_examples=150, derandomize=True, database=None, deadline=None,
@@ -155,3 +159,38 @@ def test_any_config_ends_in_an_exit_code(tmp_path, section, data):
 @given(config=CIRCUIT_SCENARIO, circuit=CIRCUIT)
 def test_any_circuit_ends_in_an_exit_code(tmp_path, config, circuit):
     check_outcome(*run_main(tmp_path, config, circuit))
+
+
+# every character class json escapes: quote, backslash, control, non-ASCII
+# inside and outside the basic plane
+JSON_TEXT = st.text("az/ \"\\\x00\x1f\x7f\n\t\xe9\u2028\U0001f600", max_size=5)
+JSON_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.floats(), st.floats().map(np.float64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 1e16, 1e-5]), JSON_TEXT)
+JSON_PAYLOAD = st.recursive(JSON_SCALAR, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+    st.dictionaries(JSON_TEXT, inner, max_size=4)), max_leaves=40)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(payload=JSON_PAYLOAD)
+def test_indented_json_matches_json_dumps(payload):
+    expected = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    assert _indented_json(payload) == expected.encode()
+
+
+@pytest.mark.parametrize("payload", [
+    {1, 2}, b"x", 1j, np.int64(3), [np.zeros(2)], {"a": [object()]}, {(1,): 2}],
+    ids=["set", "bytes", "complex", "np_int64", "ndarray", "object", "tuple_key"])
+def test_indented_json_refuses_what_json_refuses(payload):
+    with pytest.raises(TypeError):
+        json.dumps(payload, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        _indented_json(payload)
+
+
+@pytest.mark.parametrize("payload", [{1: 2}, {"a": {None: 1}}, [{2.5: 1}]])
+def test_indented_json_refuses_keys_other_than_str(payload):
+    # json would write these keys as strings; no payload of the CLI has one
+    with pytest.raises(TypeError, match="keys must be str"):
+        _indented_json(payload)

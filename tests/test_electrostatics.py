@@ -249,6 +249,10 @@ def test_topology_adjacency():
     line = Topology.line(5)
     assert line.adjacency() == frozenset({(0, 1), (1, 2), (2, 3), (3, 4)})
     assert line.neighbors(2) == frozenset({1, 3})
+    assert line.neighbors(-1) == line.neighbors(5) == frozenset()
+    assert Topology.grid(2, 3, diagonal=False).neighbor_table() == (
+        frozenset({1, 3}), frozenset({0, 2, 4}), frozenset({1, 5}),
+        frozenset({0, 4}), frozenset({1, 3, 5}), frozenset({2, 4}))
 
     grid = Topology.grid(2, 2, diagonal=False)
     assert grid.adjacency() == frozenset({(0, 1), (0, 2), (1, 3), (2, 3)})

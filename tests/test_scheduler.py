@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import schedule_reference as reference
 
 from dotmol import (ECHO_FACTOR, READ_LIMIT_MESSAGE, Action, CompileError,
                     Gate, LayoutGeometry, MoleculeParams, Rotation,
@@ -131,10 +132,10 @@ def test_reads_get_their_own_step(params):
             assert len(step.actions) == 1
 
 
-def random_circuit(rng, topology):
+def random_circuit(rng, topology, length=(3, 15)):
     adjacency = sorted(topology.adjacency())
     gates = []
-    for _ in range(rng.integers(3, 15)):
+    for _ in range(rng.integers(*length)):
         roll = rng.random()
         if roll < 0.4:
             kind = rng.choice(["h", "z", "xz"])
@@ -162,6 +163,75 @@ def test_random_circuits_validate_clean(params):
         g = LayoutGeometry(topology=topology)
         program = compile_circuit(random_circuit(rng, topology), g, params)
         assert validate_program(program, topology.adjacency()) == []
+
+
+def reference_topologies(rng, count):
+    """Lines, diagonal grids and edge-only grids of random sizes, in turn."""
+    for k in range(count):
+        rows, cols = (int(x) for x in rng.integers(1, 6, size=2))
+        yield (Topology.line(int(rng.integers(1, 10))),
+               Topology.grid(rows, cols),
+               Topology.grid(rows, cols, diagonal=False))[k % 3]
+
+
+def test_init_colors_match_reference(params):
+    for topology in (Topology.line(1), Topology.line(9), Topology.grid(5, 7),
+                     Topology.grid(6, 4, diagonal=False), Topology.grid(1, 5)):
+        assert init_schedule(topology, params) == reference.init_schedule(topology, params)
+
+
+def test_topology_adjacency_is_built_once(monkeypatch, params):
+    calls = []
+    adjacency = Topology.adjacency
+
+    def counted(self):
+        calls.append(self)
+        return adjacency(self)
+
+    monkeypatch.setattr(Topology, "adjacency", counted)
+    g = LayoutGeometry(topology=Topology.grid(64, 64))
+    assert len(init_schedule(g.topology).steps) == 4
+    assert len(calls) == 1
+    compile_circuit([Gate("cz", (0, 65)), Gate("bell", (4094, 4095))], g, params)
+    assert len(calls) == 2
+
+
+def test_packing_matches_pairwise_reference(params):
+    rng = np.random.default_rng(515)
+    for topology in reference_topologies(rng, 150):
+        g = LayoutGeometry(topology=topology)
+        gates = random_circuit(rng, topology, length=(10, 80))
+        assert (compile_circuit(gates, g, params)
+                == reference.compile_circuit(gates, g, params))
+
+
+def scrambled_program(rng, topology, params):
+    """Init, circuit and stray actions dealt at random into a few steps."""
+    g = LayoutGeometry(topology=topology)
+    program = compile_circuit(random_circuit(rng, topology, length=(10, 60)), g, params)
+    actions = [a for step in init_schedule(topology).steps + program.steps
+               for a in step.actions]
+    for m in (topology.size, topology.size + 2, -1):
+        kind = str(rng.choice(["init", "read_single", "rotate"]))
+        actions.append(Action(kind, (m,), duration=1.0))
+    steps = [[] for _ in range(max(1, len(actions) // 5))]
+    for action in actions:
+        steps[rng.integers(len(steps))].append(action)
+    return ScheduleProgram(tuple(ScheduleStep(tuple(s)) for s in steps),
+                           topology.size)
+
+
+def test_validation_matches_all_pairs_reference(params):
+    rng = np.random.default_rng(516)
+    rules = set()
+    for topology in reference_topologies(rng, 150):
+        program = scrambled_program(rng, topology, params)
+        adjacency = topology.adjacency()
+        findings = validate_program(program, adjacency)
+        assert findings == reference.validate_program(program, adjacency)
+        rules.update(v.rule for v in findings)
+    assert rules == {"overlapping-actions", "molecule-out-of-range", "adjacent-read",
+                     "adjacent-init", "unintended-02-adjacency"}
 
 
 def one_step(*actions):
