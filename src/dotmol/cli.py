@@ -19,13 +19,16 @@ from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+import numpy as np
+
 from .electrostatics import (LayoutGeometry, Topology, background_interaction,
                              h_cc, nnn_coupling_ratio, pair_coupling)
 from .measurement import BELL_LABELS, BellBranches, bell_branches, bell_state
 from .physics import MoleculeParams, adiabatic_angle, charge_branch_energies, sin_sq_mixing
-from .register import check_register_size, state_json
-from .scheduler import (Gate, ScheduleProgram, compile_circuit, init_schedule,
-                        simulate_program, time_budget, validate_program)
+from .register import EncodedRegisterState, check_register_size
+from .scheduler import (Action, Gate, ScheduleProgram, ScheduleStep,
+                        compile_circuit, init_schedule, simulate_program,
+                        time_budget, validate_program)
 from .streams import stream_token, substream
 
 EXIT_OK = 0
@@ -221,7 +224,7 @@ def _run_compile(config: RunConfig, config_dir: Path) -> tuple[int, dict]:
                               config.safety_factor)
     findings = validate_program(program, config.geometry.topology.adjacency())
     report = time_budget(program, config.params, echo=config.echo)
-    payload = {"scenario": "compile", "schedule": program.to_json(),
+    payload = {"scenario": "compile", "schedule": program,
                "validation": [v.message for v in findings],
                "budget": _budget_json(report)}
     return (EXIT_OK if report.ok else EXIT_BUDGET_WARNINGS), payload
@@ -240,7 +243,7 @@ def _run_simulate(config: RunConfig, config_dir: Path) -> tuple[int, dict]:
     state, events = simulate_program(program, config.geometry, config.params, rng)
     report = time_budget(program, config.params, echo=config.echo)
     payload = {"scenario": "simulate",
-               "final_state": state_json(state),
+               "final_state": state,
                "charge_flags": list(state.charge_flags),
                "events": events,
                "budget": _budget_json(report)}
@@ -331,20 +334,41 @@ def _run_sweep(config: RunConfig) -> tuple[int, dict]:
 _JSON_SPECIAL_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
+def _json_scalar(value) -> str:
+    """value as json.dumps writes it; any other type is a TypeError."""
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _JSON_SPECIAL_FLOATS.get(text, text)
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    "is not JSON serializable")
+
+
+# values _json_chunks writes as JSON arrays or objects
+_JSON_COMPOUND = (dict, list, tuple, Action, ScheduleStep, ScheduleProgram,
+                  EncodedRegisterState)
+
+
 def _json_chunks(value, lead: str, pad: str, out: list[str]) -> None:
     """Append value to out as json.dumps(value, sort_keys=True, indent=2)
-    writes it, nested at indent pad, with lead (the separator before it)
-    and each scalar in one chunk. Keys must be str; any other key or
-    value type is a TypeError."""
-    if isinstance(value, str):
-        out.append(lead + encode_basestring_ascii(value))
-    elif isinstance(value, float):
-        text = float.__repr__(value)
-        out.append(lead + _JSON_SPECIAL_FLOATS.get(text, text))
-    elif value is None or value is True or value is False:
-        out.append(lead + ("null" if value is None else "true" if value else "false"))
-    elif isinstance(value, int):
-        out.append(lead + int.__repr__(value))
+    writes it, nested at indent pad, with lead (the separator before it).
+    Schedules are written as their schedule JSON and register states as
+    register.state_json pairs, straight from the objects. Keys must be
+    str; any other key or value type is a TypeError."""
+    if not isinstance(value, _JSON_COMPOUND):
+        out.append(lead + _json_scalar(value))
+    elif isinstance(value, dict):
+        members = []
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            members.append((key, value[key]))
+        _members_chunks(members, lead, pad, out)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append(lead + "[]")
@@ -355,22 +379,91 @@ def _json_chunks(value, lead: str, pad: str, out: list[str]) -> None:
             _json_chunks(item, lead, inner, out)
             lead = ",\n" + inner
         out.append("\n" + pad + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out.append(lead + "{}")
-            return
-        inner = pad + "  "
-        lead += "{\n" + inner
-        for key in sorted(value):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            _json_chunks(value[key], lead + encode_basestring_ascii(key) + ": ",
-                         inner, out)
-            lead = ",\n" + inner
-        out.append("\n" + pad + "}")
+    elif isinstance(value, Action):
+        out.append(lead + _action_text(value, pad))
+    elif isinstance(value, ScheduleStep):
+        _members_chunks((("actions", value.actions), ("duration_ns", value.duration)),
+                        lead, pad, out)
+    elif isinstance(value, ScheduleProgram):
+        _members_chunks((("molecule_count", value.molecule_count),
+                         ("steps", value.steps)), lead, pad, out)
     else:
-        raise TypeError(f"Object of type {type(value).__name__} "
-                        "is not JSON serializable")
+        out.append(lead + _state_text(value, pad))
+
+
+def _members_chunks(members, lead: str, pad: str, out: list[str]) -> None:
+    """A JSON object of (key, value) members given in sorted key order."""
+    if not members:
+        out.append(lead + "{}")
+        return
+    inner = pad + "  "
+    lead += "{\n" + inner
+    for key, value in members:
+        _json_chunks(value, lead + encode_basestring_ascii(key) + ": ", inner, out)
+        lead = ",\n" + inner
+    out.append("\n" + pad + "}")
+
+
+def _action_text(a: Action, pad: str) -> str:
+    """One action's JSON at indent pad. hold_ns, ramp_ns and
+    read_duration_ns appear only when nonzero, phase when set and
+    rotation when present."""
+    values = [a.duration]
+    if a.hold:
+        values.append(a.hold)
+    values.append(a.kind)
+    values += a.molecules
+    if a.phase is not None:
+        values.append(a.phase)
+    if a.ramp:
+        values.append(a.ramp)
+    if a.read_duration:
+        values.append(a.read_duration)
+    rot = a.rotation
+    if rot is not None:
+        values += (rot.angle, rot.axis_angle, rot.duration, rot.kind)
+    template = _action_template(pad, len(a.molecules), bool(a.hold),
+                                a.phase is not None, bool(a.ramp),
+                                bool(a.read_duration), rot is not None)
+    return template % tuple(map(_json_scalar, values))
+
+
+@lru_cache(maxsize=256)
+def _action_template(pad: str, width: int, hold: bool, phase: bool,
+                     ramp: bool, read: bool, rotation: bool) -> str:
+    """%-template of one action key set, keys in sorted order and a %s for
+    each scalar."""
+    inner = pad + "  "
+    molecules = "[]" if not width else (
+        "[\n" + ",\n".join([inner + "  %s"] * width) + "\n" + inner + "]")
+    fields = ['"duration_ns": %s', '"hold_ns": %s' if hold else None,
+              '"kind": %s', '"molecules": ' + molecules,
+              '"phase": %s' if phase else None, '"ramp_ns": %s' if ramp else None,
+              '"read_duration_ns": %s' if read else None]
+    if rotation:
+        fields.append('"rotation": {\n' + ",\n".join(
+            f'{inner}  "{key}": %s'
+            for key in ("angle", "axis_angle", "duration_ns", "kind"))
+            + "\n" + inner + "}")
+    return "{\n" + ",\n".join(inner + f for f in fields if f) + "\n" + pad + "}"
+
+
+def _flat_amplitudes(state: EncodedRegisterState) -> list[float]:
+    """re0, im0, re1, im1, ... of the state, as Python floats."""
+    return np.ascontiguousarray(state.amplitudes).view(float).tolist()
+
+
+def _state_text(state: EncodedRegisterState, pad: str) -> str:
+    """The state's register.state_json pairs as JSON at indent pad."""
+    texts = list(map(float.__repr__, _flat_amplitudes(state)))
+    texts = list(map(_JSON_SPECIAL_FLOATS.get, texts, texts))
+    pair_pad = pad + "  "
+    part_pad = pair_pad + "  "
+    halves = iter(texts)
+    pairs = map((",\n" + part_pad).join, zip(halves, halves))
+    return (f"[\n{pair_pad}[\n{part_pad}"
+            + f"\n{pair_pad}],\n{pair_pad}[\n{part_pad}".join(pairs)
+            + f"\n{pair_pad}]\n{pad}]")
 
 
 def _indented_json(payload) -> bytes:
@@ -407,7 +500,8 @@ def _render(payload: dict, out_format: str) -> bytes:
                              row["classification"], repr(row["phi"])])
     elif kind == "simulate":
         writer.writerow(["index", "re", "im"])
-        for index, (re, im) in enumerate(payload["final_state"]):
+        halves = iter(_flat_amplitudes(payload["final_state"]))
+        for index, (re, im) in enumerate(zip(halves, halves)):
             writer.writerow([index, repr(re), repr(im)])
     else:
         raise ConfigError(f"scenario {kind!r} has no CSV rendering; use json")

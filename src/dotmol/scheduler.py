@@ -10,7 +10,7 @@ routing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +33,10 @@ class CompileError(ValueError):
     """Raised when a circuit cannot be realized on the given geometry."""
 
 
+# qubit count of each circuit gate kind
+_GATE_ARITY = {"h": 1, "z": 1, "xz": 1, "measure": 1, "cnot": 2, "cz": 2, "bell": 2}
+
+
 @dataclass(frozen=True)
 class Gate:
     """One circuit-level instruction."""
@@ -43,14 +47,15 @@ class Gate:
     axis_angle: float = 0.0
 
     def __post_init__(self):
-        arity = {"h": 1, "z": 1, "xz": 1, "measure": 1,
-                 "cnot": 2, "cz": 2, "bell": 2}
-        if self.kind not in arity:
+        arity = _GATE_ARITY.get(self.kind)
+        if arity is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
-        if len(self.qubits) != arity[self.kind]:
-            raise ValueError(f"{self.kind} takes {arity[self.kind]} qubit(s)")
+        if len(self.qubits) != arity:
+            raise ValueError(f"{self.kind} takes {arity} qubit(s)")
         if len(set(self.qubits)) != len(self.qubits):
             raise ValueError("gate qubits must be distinct")
+        if not (math.isfinite(self.angle) and math.isfinite(self.axis_angle)):
+            raise ValueError("gate angles must be finite")
 
 
 @dataclass(frozen=True)
@@ -93,45 +98,6 @@ class ScheduleProgram:
     @property
     def total_duration(self) -> float:
         return sum(s.duration for s in self.steps)
-
-    def to_json(self) -> dict:
-        def action_json(a: Action) -> dict:
-            out = {"kind": a.kind, "molecules": list(a.molecules),
-                   "duration_ns": a.duration}
-            if a.rotation is not None:
-                out["rotation"] = {"kind": a.rotation.kind, "angle": a.rotation.angle,
-                                   "axis_angle": a.rotation.axis_angle,
-                                   "duration_ns": a.rotation.duration}
-            for key in ("ramp", "hold", "read_duration"):
-                if getattr(a, key):
-                    out[f"{key}_ns"] = getattr(a, key)
-            if a.phase is not None:
-                out["phase"] = a.phase
-            return out
-        return {"molecule_count": self.molecule_count,
-                "steps": [{"duration_ns": s.duration,
-                           "actions": [action_json(a) for a in s.actions]}
-                          for s in self.steps]}
-
-    @staticmethod
-    def from_json(data: dict) -> "ScheduleProgram":
-        steps = []
-        for step in data["steps"]:
-            actions = []
-            for a in step["actions"]:
-                rot = None
-                if "rotation" in a:
-                    r = a["rotation"]
-                    rot = Rotation(r["kind"], angle=r.get("angle", 0.0),
-                                   axis_angle=r.get("axis_angle", 0.0),
-                                   duration=r.get("duration_ns", 0.0))
-                actions.append(Action(
-                    kind=a["kind"], molecules=tuple(a["molecules"]),
-                    duration=a["duration_ns"], rotation=rot,
-                    ramp=a.get("ramp_ns", 0.0), hold=a.get("hold_ns", 0.0),
-                    phase=a.get("phase"), read_duration=a.get("read_duration_ns", 0.0)))
-            steps.append(ScheduleStep(tuple(actions)))
-        return ScheduleProgram(tuple(steps), data["molecule_count"])
 
 
 @dataclass(frozen=True)
@@ -271,13 +237,15 @@ def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams,
         if action.kind == "sweep_pair":
             if gate_ramp is None:
                 gate_ramp, gate_hold = _gate_pulse(g, params, safety_factor)
-            action = replace(action, ramp=gate_ramp, hold=gate_hold,
-                             duration=2.0 * gate_ramp + gate_hold)
+            action = Action("sweep_pair", action.molecules,
+                            duration=2.0 * gate_ramp + gate_hold,
+                            ramp=gate_ramp, hold=gate_hold, phase=action.phase)
         elif action.kind in ("read_single", "read_pair"):
             if meas_ramp is None:
                 meas_ramp, _ = _measurement_sweep(g, params, safety_factor)
-            action = replace(action, ramp=meas_ramp,
-                             duration=2.0 * meas_ramp + action.read_duration)
+            action = Action(action.kind, action.molecules,
+                            duration=2.0 * meas_ramp + action.read_duration,
+                            ramp=meas_ramp, read_duration=action.read_duration)
         actions.append(action)
 
     # Per step: its actions, the neighbours of its displaced molecules, and

@@ -8,6 +8,12 @@ included; `init_schedule` asked the topology for each molecule's
 neighbours one call at a time. They are copied here unchanged so the
 packing, findings and colours of dotmol.scheduler can be checked against
 them on the same inputs.
+
+`reference_to_json` and `reference_from_json` are the schedule encoder and
+decoder the package carried as `ScheduleProgram.to_json` and `from_json`
+before the CLI wrote schedules straight from the program. The encoder is
+the dict tree whose `json.dumps(..., sort_keys=True, indent=2)` the CLI's
+writer must match byte for byte.
 """
 from __future__ import annotations
 
@@ -16,6 +22,7 @@ from dataclasses import replace
 from dotmol.electrostatics import LayoutGeometry, Topology
 from dotmol.measurement import DEFAULT_READ_DURATION_NS, _measurement_sweep
 from dotmol.physics import MoleculeParams
+from dotmol.register import Rotation
 from dotmol.scheduler import (Action, CompileError, RuleViolation, ScheduleProgram,
                               ScheduleStep, _gate_pulse, _gate_ramp, _lower)
 
@@ -157,3 +164,43 @@ def validate_program(program: ScheduleProgram,
                     {m for xy in close for m in xy})),
                     f"step {s}: {text} on adjacent molecules {pairs}"))
     return out
+
+
+def reference_to_json(program: ScheduleProgram) -> dict:
+    def action_json(a: Action) -> dict:
+        out = {"kind": a.kind, "molecules": list(a.molecules),
+               "duration_ns": a.duration}
+        if a.rotation is not None:
+            out["rotation"] = {"kind": a.rotation.kind, "angle": a.rotation.angle,
+                               "axis_angle": a.rotation.axis_angle,
+                               "duration_ns": a.rotation.duration}
+        for key in ("ramp", "hold", "read_duration"):
+            if getattr(a, key):
+                out[f"{key}_ns"] = getattr(a, key)
+        if a.phase is not None:
+            out["phase"] = a.phase
+        return out
+    return {"molecule_count": program.molecule_count,
+            "steps": [{"duration_ns": s.duration,
+                       "actions": [action_json(a) for a in s.actions]}
+                      for s in program.steps]}
+
+
+def reference_from_json(data: dict) -> ScheduleProgram:
+    steps = []
+    for step in data["steps"]:
+        actions = []
+        for a in step["actions"]:
+            rot = None
+            if "rotation" in a:
+                r = a["rotation"]
+                rot = Rotation(r["kind"], angle=r.get("angle", 0.0),
+                               axis_angle=r.get("axis_angle", 0.0),
+                               duration=r.get("duration_ns", 0.0))
+            actions.append(Action(
+                kind=a["kind"], molecules=tuple(a["molecules"]),
+                duration=a["duration_ns"], rotation=rot,
+                ramp=a.get("ramp_ns", 0.0), hold=a.get("hold_ns", 0.0),
+                phase=a.get("phase"), read_duration=a.get("read_duration_ns", 0.0)))
+        steps.append(ScheduleStep(tuple(actions)))
+    return ScheduleProgram(tuple(steps), data["molecule_count"])

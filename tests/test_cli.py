@@ -10,10 +10,10 @@ from pathlib import Path
 
 import pytest
 from bell_reference import reference_bell
+from schedule_reference import reference_from_json
 
 import dotmol
-from dotmol import (BELL_LABELS, ScheduleProgram, Topology, bell_state,
-                    substream, validate_program)
+from dotmol import BELL_LABELS, Topology, bell_state, substream, validate_program
 from dotmol.cli import (BELL_TRIAL_LIMIT, EXIT_BUDGET_WARNINGS, EXIT_OK,
                         EXIT_PHYSICS, EXIT_USAGE, SWEEP_POINT_LIMIT,
                         ConfigError, load_config, main, parse_circuit, run)
@@ -83,6 +83,18 @@ def test_parse_circuit_errors(line, fragment):
 def test_parse_circuit_reports_line_numbers():
     with pytest.raises(ConfigError, match="line 3"):
         parse_circuit("H 0\n# fine\nFOO 1\n")
+
+
+@pytest.mark.parametrize("line", ["Z 0 nan", "XZ 0 inf 1", "Z 0 1e400", "XZ 1 0.5 -inf"])
+def test_non_finite_angles_are_circuit_errors(tmp_path, capsys, line):
+    with pytest.raises(ConfigError, match="line 2: .*finite"):
+        parse_circuit(f"H 0\n{line}\n")
+    for kind in ("compile", "simulate"):
+        path = write_run(tmp_path, {"kind": kind, "circuit": "c.txt"},
+                         circuit=f"H 0\n{line}\n")
+        assert main(["--config", str(path)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: ") and err.count("\n") == 1
 
 
 # --- config loading ---
@@ -219,7 +231,7 @@ def test_compile_scenario_round_trips(tmp_path):
     assert payload["scenario"] == "compile"
     assert payload["validation"] == []
     assert payload["budget"]["violations"] == []
-    program = ScheduleProgram.from_json(payload["schedule"])
+    program = reference_from_json(payload["schedule"])
     assert validate_program(program, Topology.line(2).adjacency()) == []
     actions = [a for s in payload["schedule"]["steps"] for a in s["actions"]]
     assert [a["kind"] for a in actions] == ["rotate", "rotate", "sweep_pair",
@@ -470,6 +482,21 @@ JSON_GOLDEN = {
 def test_json_output_bytes_are_pinned(tmp_path, case, seed):
     code, blob = run_cli(json_run(tmp_path, case, seed), tmp_path / "out.json")
     assert (code, hashlib.sha256(blob).hexdigest()) == JSON_GOLDEN[case, seed]
+
+
+# sha256 of the simulate cases above written as CSV, from before the CSV
+# branch read the state object instead of its state_json pairs
+CSV_GOLDEN = {
+    7: "07e7051753c759afd42c6824f7cde3e3777f138d4ccf5553047c5ba8a8fd741b",
+    1201: "f54b1044cec9d920f2ee98df0812ff95d28772131b828dc755c9b5869f53e32d",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CSV_GOLDEN))
+def test_simulate_csv_bytes_are_pinned(tmp_path, seed):
+    code, blob = run_cli(json_run(tmp_path, "simulate", seed), tmp_path / "out.csv",
+                         "--format", "csv")
+    assert (code, hashlib.sha256(blob).hexdigest()) == (EXIT_OK, CSV_GOLDEN[seed])
 
 
 def test_sweep_epsilon_h_cc_monotone(tmp_path):

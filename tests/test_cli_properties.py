@@ -6,7 +6,8 @@ exit codes, and stderr must never carry a Python traceback; a usage error
 sweep points stay small, so no example asks for a large allocation.
 
 The CLI's indented-JSON writer must write every drawn payload exactly as
-json.dumps(payload, sort_keys=True, indent=2) does.
+json.dumps(payload, sort_keys=True, indent=2) does, and a register state
+exactly as json.dumps writes its register.state_json pairs.
 """
 import contextlib
 import copy
@@ -19,6 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dotmol import EncodedRegisterState, state_json
 from dotmol.cli import _indented_json, main
 
 PROPERTY_SETTINGS = settings(
@@ -194,3 +196,26 @@ def test_indented_json_refuses_keys_other_than_str(payload):
     # json would write these keys as strings; no payload of the CLI has one
     with pytest.raises(TypeError, match="keys must be str"):
         _indented_json(payload)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_state_writer_matches_state_json(n):
+    rng = np.random.default_rng(600 + n)
+    size = 2 ** n
+    amps = rng.normal(size=size) + 1j * rng.normal(size=size)
+    # signed zeros, a tiny amplitude and exact zeros, all kept by the scaling
+    amps[0] = complex(-0.0, 0.5)
+    amps[-1] = complex(1e-17, -0.0)
+    if n > 1:
+        amps[1] = 0.0
+        amps[2] = complex(-0.0, -0.0)
+    amps /= np.linalg.norm(amps)
+    strided = np.empty(2 * size, dtype=complex)
+    strided[::2] = amps
+    for state in (EncodedRegisterState(amps, ("11",) * n),
+                  EncodedRegisterState(strided[::2], ("02",) * n)):
+        expected = json.dumps(state_json(state), indent=2) + "\n"
+        assert _indented_json(state) == expected.encode()
+        nested = json.dumps({"final_state": state_json(state), "n": n},
+                            sort_keys=True, indent=2) + "\n"
+        assert _indented_json({"n": n, "final_state": state}) == nested.encode()

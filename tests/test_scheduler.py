@@ -1,4 +1,5 @@
 """Schedule compilation, exclusion-rule validation, and time budgets."""
+import json
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from dotmol import (ECHO_FACTOR, READ_LIMIT_MESSAGE, Action, CompileError,
                     compile_circuit, init_schedule, ising_phase,
                     phase_from_waveform, product_state, simulate_program,
                     square_pulse, time_budget, validate_program)
+from dotmol.cli import _indented_json
 
 
 def members(step):
@@ -205,6 +207,54 @@ def test_packing_matches_pairwise_reference(params):
                 == reference.compile_circuit(gates, g, params))
 
 
+def assert_written_as_reference(program):
+    expected = json.dumps({"schedule": reference.reference_to_json(program)},
+                          sort_keys=True, indent=2) + "\n"
+    assert _indented_json({"schedule": program}) == expected.encode()
+
+
+def test_schedule_writer_matches_reference_encoder(params):
+    # the same 150 circuits as test_packing_matches_pairwise_reference
+    rng = np.random.default_rng(515)
+    for topology in reference_topologies(rng, 150):
+        g = LayoutGeometry(topology=topology)
+        gates = random_circuit(rng, topology, length=(10, 80))
+        assert_written_as_reference(compile_circuit(gates, g, params))
+
+
+def test_schedule_writer_matches_reference_on_hand_built_programs(params):
+    sweep = dict(duration=2.5, ramp=0.75, hold=1.0, phase=math.pi)
+    programs = [
+        ScheduleProgram((), 0),
+        ScheduleProgram((ScheduleStep(()),), 2),
+        init_schedule(Topology.grid(2, 3), params),
+        ScheduleProgram((
+            ScheduleStep((Action("sweep_pair", (0, 1), **dict(sweep, phase=None)),
+                          Action("sweep_pair", (2, 3), **dict(sweep, hold=0)),
+                          Action("sweep_pair", (4, 5), **dict(sweep, hold=-0.0,
+                                                              phase=-0.0)))),
+            ScheduleStep((Action("rotate", (0,), duration=0.0,
+                                 rotation=Rotation("uxz", angle=-0.0, axis_angle=-0.0)),
+                          Action("rotate", (1,), duration=2,
+                                 rotation=Rotation("uz", angle=3, duration=2)),
+                          Action("rotate", (2,), duration=1.0,
+                                 rotation=Rotation.hadamard(), ramp=0.5))),
+            ScheduleStep((Action("read_single", (0,), duration=1002, ramp=1,
+                                 read_duration=1000),)),
+            ScheduleStep((Action("read_pair", (4, 5), duration=1001.5, ramp=0.75,
+                                 read_duration=1000.0),
+                          Action("init", (), duration=0))),
+            ScheduleStep(()),
+        ), 6),
+    ]
+    for program in programs:
+        assert_written_as_reference(program)
+    # nested one level deeper, next to other values
+    expected = json.dumps([reference.reference_to_json(p) for p in programs] + [1.5],
+                          sort_keys=True, indent=2) + "\n"
+    assert _indented_json(programs + [1.5]) == expected.encode()
+
+
 def scrambled_program(rng, topology, params):
     """Init, circuit and stray actions dealt at random into a few steps."""
     g = LayoutGeometry(topology=topology)
@@ -330,7 +380,7 @@ def test_schedule_json_round_trip(params):
     gates = [Gate("h", (0,)), Gate("cnot", (0, 1)), Gate("cz", (2, 3)),
              Gate("z", (2,), angle=0.4)]
     program = compile_circuit(gates, g, params)
-    clone = ScheduleProgram.from_json(program.to_json())
+    clone = reference.reference_from_json(reference.reference_to_json(program))
     assert clone == program
     assert validate_program(clone, g.topology.adjacency()) == []
     state_a, _ = simulate_program(program, g, params)
