@@ -15,9 +15,9 @@ from .electrostatics import (LayoutGeometry, PairCoupling, Topology,
                              inline_crosstalk, inline_interaction,
                              nnn_coupling_ratio, pair_coupling,
                              sites_pair_energy)
-from .measurement import (BELL_LABELS, DEFAULT_CURRENTS, BellBranches,
-                          BellDecomposition, BellOutcome, QpcCurrents,
-                          QpcReading, bell_branches, bell_measure, bell_state,
+from .measurement import (BELL_LABELS, QPC_CURRENTS, BellBranches,
+                          BellDecomposition, BellOutcome, QpcReading,
+                          bell_branches, bell_measure, bell_state,
                           decompose_bell, pair_read_probabilities,
                           qpc_read_pair, qpc_read_single)
 from .physics import (DetuningWaveform, MoleculeParams, SweepWindow,
@@ -44,8 +44,8 @@ __all__ = [
     "doubly_occupied_interaction", "h_cc", "inline_crosstalk",
     "inline_interaction", "nnn_coupling_ratio", "pair_coupling",
     "sites_pair_energy",
-    "BELL_LABELS", "DEFAULT_CURRENTS", "BellBranches", "BellDecomposition",
-    "BellOutcome", "QpcCurrents", "QpcReading", "bell_branches",
+    "BELL_LABELS", "QPC_CURRENTS", "BellBranches", "BellDecomposition",
+    "BellOutcome", "QpcReading", "bell_branches",
     "bell_measure", "bell_state",
     "decompose_bell", "pair_read_probabilities", "qpc_read_pair",
     "qpc_read_single",

@@ -57,14 +57,11 @@ class RunConfig:
     seed: int = 0
     out_format: str = "json"
     echo: bool = False
-    workers: int = 1
     safety_factor: float = 10.0
 
     def __post_init__(self):
         if self.out_format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, not {self.out_format!r}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
         if not (math.isfinite(self.safety_factor) and self.safety_factor >= 1):
             raise ConfigError("safety_factor must be finite and >= 1")
 
@@ -123,7 +120,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         seed=_scalar(int, data.get("seed", 0), "seed"),
         out_format=str(data.get("format", "json")),
         echo=_flag(data.get("echo", False), "echo"),
-        workers=_scalar(int, data.get("workers", 1), "workers"),
         safety_factor=_scalar(float, data.get("safety_factor", 10.0), "safety_factor"),
     )
     for key in ("seed", "out_format", "echo"):
@@ -425,7 +421,10 @@ def _action_text(a: Action, pad: str) -> str:
     template = _action_template(pad, len(a.molecules), bool(a.hold),
                                 a.phase is not None, bool(a.ramp),
                                 bool(a.read_duration), rot is not None)
-    return template % tuple(map(_json_scalar, values))
+    # not tuple(map(...)): that takes a 10-slot tuple and shrinks it, so
+    # thousands of freed tuples pile up on a free list inside the chunks'
+    # memory and keep it from going back to the OS before the encode
+    return template % tuple([_json_scalar(v) for v in values])
 
 
 @lru_cache(maxsize=256)

@@ -21,28 +21,12 @@ from .register import (EncodedRegisterState, Rotation, apply_rotation, ising_pha
                        molecule_probabilities, molecule_view, pair_view,
                        phase_from_waveform)
 
-DEFAULT_READ_DURATION_NS = 1000.0
+READ_DURATION_NS = 1000.0
+
+# detector current at each level (arbitrary units, only the ordering matters)
+QPC_CURRENTS = {"I_max": 1.0, "I_mid": 0.5, "I_min": 0.0}
 
 BELL_LABELS = ("phi_plus", "phi_minus", "psi_plus", "psi_minus")
-
-
-@dataclass(frozen=True)
-class QpcCurrents:
-    """Detector current levels (arbitrary units, only ordering matters)."""
-
-    i_max: float = 1.0
-    i_mid: float = 0.5
-    i_min: float = 0.0
-
-    def __post_init__(self):
-        if not (self.i_max > self.i_mid > self.i_min):
-            raise ValueError("need i_max > i_mid > i_min")
-
-    def value(self, level: str) -> float:
-        return {"I_max": self.i_max, "I_mid": self.i_mid, "I_min": self.i_min}[level]
-
-
-DEFAULT_CURRENTS = QpcCurrents()
 
 
 @dataclass(frozen=True)
@@ -50,10 +34,9 @@ class QpcReading:
     level: str
     current: float
     post_state: EncodedRegisterState
-    accumulated_phase: float = 0.0
 
     def __post_init__(self):
-        if self.level not in ("I_max", "I_mid", "I_min"):
+        if self.level not in QPC_CURRENTS:
             raise ValueError(f"unknown current level {self.level!r}")
 
 
@@ -164,10 +147,22 @@ def pair_read_probabilities(state: EncodedRegisterState, i: int, j: int) -> dict
     }
 
 
+def sweep_out(state: EncodedRegisterState, i: int, j: int, phi: float,
+              adjacency: frozenset[tuple[int, int]]) -> EncodedRegisterState:
+    """Sweep pair i, j out to +Ec/2 for a read: the ramp's Ising phase phi,
+    then both molecules flagged charge-displaced."""
+    return ising_phase(state, i, j, phi, adjacency).with_flags({i: "02", j: "02"})
+
+
+def sweep_home(state: EncodedRegisterState, i: int, j: int, phi: float,
+               adjacency: frozenset[tuple[int, int]]) -> EncodedRegisterState:
+    """Sweep a read pair i, j back to idle: both flagged (1,1), then the
+    ramp's Ising phase phi."""
+    return ising_phase(state.with_flags({i: "11", j: "11"}), i, j, phi, adjacency)
+
+
 def qpc_read_pair(state: EncodedRegisterState, i: int, j: int,
-                  rng: np.random.Generator,
-                  currents: QpcCurrents = DEFAULT_CURRENTS,
-                  accumulated_phase: float = 0.0) -> QpcReading:
+                  rng: np.random.Generator) -> QpcReading:
     """Three-level charge read of a swept molecule pair.
 
     Requires both molecules already held at +Ec/2 (their singlet weight in
@@ -177,18 +172,17 @@ def qpc_read_pair(state: EncodedRegisterState, i: int, j: int,
     if state.charge_flags[i] != "02" or state.charge_flags[j] != "02":
         raise ValueError("pair read needs both molecules swept to +Ec/2")
     level = _sample(rng, tuple(pair_read_probabilities(state, i, j).items()))
-    return _pair_reading(state, i, j, level, currents, accumulated_phase)
+    return _pair_reading(state, i, j, level)
 
 
-def _pair_reading(state: EncodedRegisterState, i: int, j: int, level: str,
-                  currents: QpcCurrents, accumulated_phase: float) -> QpcReading:
+def _pair_reading(state: EncodedRegisterState, i: int, j: int,
+                  level: str) -> QpcReading:
     """The reading of a swept pair at a given level, with its collapsed state."""
     amps = state.amplitudes.copy()
     view = pair_view(amps, i, j)
     for a, b in _REJECTED[level]:
         view[:, a, :, b] = 0.0
-    return QpcReading(level, currents.value(level), _project(state, amps),
-                      accumulated_phase)
+    return QpcReading(level, QPC_CURRENTS[level], _project(state, amps))
 
 
 @dataclass(frozen=True)
@@ -255,8 +249,7 @@ class BellBranches:
 
 def bell_branches(state: EncodedRegisterState, i: int, j: int,
                   g: LayoutGeometry, params: MoleculeParams,
-                  safety_factor: float = 10.0,
-                  currents: QpcCurrents = DEFAULT_CURRENTS) -> BellBranches:
+                  safety_factor: float = 10.0) -> BellBranches:
     """Branch table of the two-round QPC Bell measurement on adjacent i, j.
 
     Round one sweeps both to +Ec/2 and reads. I_max or I_min means the Phi
@@ -269,50 +262,46 @@ def bell_branches(state: EncodedRegisterState, i: int, j: int,
     """
     adjacency = g.topology.adjacency()
     _, sweep_phi = _measurement_sweep(g, params, safety_factor)
+    # Ising phase after one round (out and home) and after two, summed in
+    # sweep order
+    phi1 = sweep_phi + sweep_phi
+    phi2 = phi1 + sweep_phi + sweep_phi
 
-    def sweep_out(s, phi):
-        s = ising_phase(s, i, j, sweep_phi, adjacency)
-        return s.with_flags({i: "02", j: "02"}), phi + sweep_phi
-
-    def sweep_home(s, phi):
-        s = s.with_flags({i: "11", j: "11"})
-        return ising_phase(s, i, j, sweep_phi, adjacency), phi + sweep_phi
-
-    def read(s, phi):
-        """(level, p) pairs of a swept pair and the reading for each live level."""
+    def read(s):
+        """Sweep out, then the (level, p) pairs and each live level's reading."""
+        s = sweep_out(s, i, j, sweep_phi, adjacency)
         probs = tuple(pair_read_probabilities(s, i, j).items())
-        return probs, {level: _pair_reading(s, i, j, level, currents, phi)
+        return probs, {level: _pair_reading(s, i, j, level)
                        for level, p in probs if p > _LIVE}
 
-    round1, readings1 = read(*sweep_out(state, 0.0))
+    round1, readings1 = read(state)
     round2: dict[str, Outcomes | None] = {}
     outcomes: dict[tuple[str, str | None], BellOutcome] = {}
     for level1, reading1 in readings1.items():
-        state, phi = sweep_home(reading1.post_state, reading1.accumulated_phase)
+        state = sweep_home(reading1.post_state, i, j, sweep_phi, adjacency)
         if level1 != "I_mid":
             round2[level1] = None
             classification = ("tt_or_phi_sector" if level1 == "I_max"
                               else "ss_or_phi_sector")
-            outcomes[level1, None] = BellOutcome(level1, None, classification, phi,
+            outcomes[level1, None] = BellOutcome(level1, None, classification, phi1,
                                                  reading1, None, state)
             continue
         hadamard = Rotation.hadamard()
         state = apply_rotation(state, i, hadamard)
         state = apply_rotation(state, j, hadamard)
-        round2[level1], readings2 = read(*sweep_out(state, phi))
+        round2[level1], readings2 = read(state)
         for level2, reading2 in readings2.items():
-            final, final_phi = sweep_home(reading2.post_state,
-                                          reading2.accumulated_phase)
+            final = sweep_home(reading2.post_state, i, j, sweep_phi, adjacency)
             classification = "psi_minus" if level2 == "I_mid" else "psi_plus"
             outcomes[level1, level2] = BellOutcome(level1, level2, classification,
-                                                   final_phi, reading1, reading2, final)
+                                                   phi2, reading1, reading2, final)
     return BellBranches(round1, round2, outcomes)
 
 
 def bell_measure(state: EncodedRegisterState, i: int, j: int,
                  g: LayoutGeometry, params: MoleculeParams,
-                 rng: np.random.Generator, safety_factor: float = 10.0,
-                 currents: QpcCurrents = DEFAULT_CURRENTS) -> BellOutcome:
+                 rng: np.random.Generator,
+                 safety_factor: float = 10.0) -> BellOutcome:
     """Two-round QPC Bell measurement on adjacent molecules i, j: one draw
     from bell_branches per read."""
-    return bell_branches(state, i, j, g, params, safety_factor, currents).sample(rng)
+    return bell_branches(state, i, j, g, params, safety_factor).sample(rng)

@@ -190,17 +190,15 @@ class DetuningWaveform:
                    self.detunings[i], self.detunings[i + 1])
 
 
-def full_sweep(params: MoleculeParams, duration: float,
-               reverse: bool = False) -> DetuningWaveform:
-    """Single linear ramp across the full range -Ec/2 -> +Ec/2 (or back).
+def full_sweep(params: MoleculeParams, duration: float) -> DetuningWaveform:
+    """Single linear ramp across the full range -Ec/2 -> +Ec/2.
 
-    One-way sweeps are the measurement excursion (they end, or start, at
-    the charge-sensitive point), so they carry the measurement_hold flag.
+    A one-way sweep is the measurement excursion (it ends at the
+    charge-sensitive point), so it carries the measurement_hold flag.
     """
-    lo, hi = params.detuning_min, params.detuning_max
-    if reverse:
-        lo, hi = hi, lo
-    return DetuningWaveform((0.0, duration), (lo, hi), measurement_hold=True)
+    return DetuningWaveform((0.0, duration),
+                            (params.detuning_min, params.detuning_max),
+                            measurement_hold=True)
 
 
 def square_pulse(params: MoleculeParams, ramp: float, hold: float) -> DetuningWaveform:

@@ -49,7 +49,7 @@ class EncodedRegisterState:
         if any(f not in ("11", "02") for f in self.charge_flags):
             raise ValueError("charge flags must be '11' or '02'")
         norm = float(np.vdot(amps, amps).real)
-        if abs(norm - 1.0) > 1e-10:
+        if not math.isfinite(norm) or abs(norm - 1.0) > 1e-10:
             raise ValueError(f"state norm^2 = {norm!r} is not 1 within 1e-10")
 
     @property

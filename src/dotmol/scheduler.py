@@ -11,15 +11,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .constants import HBAR_UEV_NS
 from .electrostatics import LayoutGeometry, Topology, pair_coupling
-from .measurement import (DEFAULT_READ_DURATION_NS, _measurement_sweep,
-                          qpc_read_pair, qpc_read_single)
-from .physics import (DetuningWaveform, MoleculeParams, full_sweep,
-                      sin_sq_mixing, sweep_rate_window)
+from .measurement import (READ_DURATION_NS, _measurement_sweep, qpc_read_pair,
+                          qpc_read_single, sweep_home, sweep_out)
+from .physics import MoleculeParams, full_sweep, sin_sq_mixing, sweep_rate_window
 from .register import (EncodedRegisterState, Rotation, apply_rotation, ising_phase,
                        molecule_view, phase_from_waveform, product_state)
 
@@ -158,24 +158,41 @@ def _gate_pulse(g: LayoutGeometry, params: MoleculeParams,
     the smallest odd multiple of pi above the ramp contribution.
     """
     ramp = _gate_ramp(params, safety_factor)
-    lo, hi = params.detuning_min, params.detuning_max
-    up = DetuningWaveform((0.0, ramp), (lo, hi), measurement_hold=True)
-    phi_ramps = 2.0 * phase_from_waveform(up, g, params.tunnel_coupling)
+    phi_ramps = 2.0 * phase_from_waveform(full_sweep(params, ramp), g,
+                                          params.tunnel_coupling)
     multiple = math.ceil(phi_ramps / math.pi)
     if multiple % 2 == 0:
         multiple += 1
     coupling_hold = (pair_coupling(g).coupling_max
-                     * sin_sq_mixing(hi, params.tunnel_coupling))
+                     * sin_sq_mixing(params.detuning_max, params.tunnel_coupling))
     hold = (multiple * math.pi - phi_ramps) * HBAR_UEV_NS / coupling_hold
     if hold < 1e-9:
         hold += 2.0 * math.pi * HBAR_UEV_NS / coupling_hold
     return ramp, hold
 
 
-def _lower(gates, read_duration: float) -> list[Action]:
-    """Expand circuit gates into primitive actions (durations filled later)."""
+def _lower(gates, g: LayoutGeometry, params: MoleculeParams,
+           safety_factor: float) -> list[Action]:
+    """Expand circuit gates into primitive actions with their durations.
+
+    The gate pulse and the measurement sweep are sized on first use, so a
+    circuit of rotations alone needs no adiabaticity window.
+    """
     hadamard = Rotation.hadamard()
     out: list[Action] = []
+
+    @cache
+    def pulse() -> dict:
+        """Timing keywords of every sweep_pair action."""
+        ramp, hold = _gate_pulse(g, params, safety_factor)
+        return dict(duration=2.0 * ramp + hold, ramp=ramp, hold=hold)
+
+    @cache
+    def read() -> dict:
+        """Timing keywords of every read action."""
+        ramp, _ = _measurement_sweep(g, params, safety_factor)
+        return dict(duration=2.0 * ramp + READ_DURATION_NS, ramp=ramp,
+                    read_duration=READ_DURATION_NS)
 
     def rotate(m, rot):
         out.append(Action("rotate", (m,), duration=rot.duration, rotation=rot))
@@ -191,27 +208,23 @@ def _lower(gates, read_duration: float) -> list[Action]:
             control, target = gate.qubits
             if gate.kind == "cnot":
                 rotate(target, hadamard)
-            out.append(Action("sweep_pair", (control, target), duration=0.0,
-                              phase=math.pi))
+            out.append(Action("sweep_pair", (control, target), phase=math.pi,
+                              **pulse()))
             if gate.kind == "cnot":
                 rotate(target, hadamard)
         elif gate.kind == "measure":
-            out.append(Action("read_single", gate.qubits, duration=0.0,
-                              read_duration=read_duration))
+            out.append(Action("read_single", gate.qubits, **read()))
         elif gate.kind == "bell":
             i, j = gate.qubits
-            out.append(Action("read_pair", (i, j), duration=0.0,
-                              read_duration=read_duration))
+            out.append(Action("read_pair", (i, j), **read()))
             rotate(i, hadamard)
             rotate(j, hadamard)
-            out.append(Action("read_pair", (i, j), duration=0.0,
-                              read_duration=read_duration))
+            out.append(Action("read_pair", (i, j), **read()))
     return out
 
 
 def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams,
-                    safety_factor: float = 10.0,
-                    read_duration: float = DEFAULT_READ_DURATION_NS) -> ScheduleProgram:
+                    safety_factor: float = 10.0) -> ScheduleProgram:
     """Pack a gate list into a conflict-free schedule.
 
     Gates keep their data order per molecule; independent actions pack into
@@ -230,24 +243,6 @@ def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams,
                 f"{gate.kind} on non-adjacent molecules {gate.qubits}; "
                 "routing is not supported, rewrite the circuit")
 
-    gate_ramp = gate_hold = None
-    meas_ramp = None
-    actions = []
-    for action in _lower(gates, read_duration):
-        if action.kind == "sweep_pair":
-            if gate_ramp is None:
-                gate_ramp, gate_hold = _gate_pulse(g, params, safety_factor)
-            action = Action("sweep_pair", action.molecules,
-                            duration=2.0 * gate_ramp + gate_hold,
-                            ramp=gate_ramp, hold=gate_hold, phase=action.phase)
-        elif action.kind in ("read_single", "read_pair"):
-            if meas_ramp is None:
-                meas_ramp, _ = _measurement_sweep(g, params, safety_factor)
-            action = Action(action.kind, action.molecules,
-                            duration=2.0 * meas_ramp + action.read_duration,
-                            ramp=meas_ramp, read_duration=action.read_duration)
-        actions.append(action)
-
     # Per step: its actions, the neighbours of its displaced molecules, and
     # whether it holds a read. Reads are sensitive to any nearby charge
     # motion, so a read opens a step of its own and no later action joins
@@ -259,7 +254,7 @@ def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams,
     near: list[set[int]] = []
     holds_read: list[bool] = []
     frontier = [0] * size
-    for action in actions:
+    for action in _lower(gates, g, params, safety_factor):
         read = action.kind in ("read_single", "read_pair")
         displaced = action.displaced
         placed = len(steps)
@@ -396,8 +391,7 @@ def _reset_to_singlet(state: EncodedRegisterState, m: int) -> EncodedRegisterSta
 
 def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
                      params: MoleculeParams,
-                     rng: np.random.Generator | None = None,
-                     initial_state: EncodedRegisterState | None = None
+                     rng: np.random.Generator | None = None
                      ) -> tuple[EncodedRegisterState, list[dict]]:
     """Execute a schedule against the encoded register model.
 
@@ -405,7 +399,7 @@ def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
     QPC model (rng required if the program contains any). Returns the final
     state and an event record per measurement.
     """
-    state = initial_state or product_state("S" * program.molecule_count)
+    state = product_state("S" * program.molecule_count)
     adjacency = g.topology.adjacency()
     events: list[dict] = []
     for s, step in enumerate(program.steps):
@@ -433,11 +427,9 @@ def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
                 if action.ramp > 0.0:
                     sweep_phi = phase_from_waveform(full_sweep(params, action.ramp), g,
                                                     params.tunnel_coupling)
-                state = ising_phase(state, i, j, sweep_phi, adjacency)
-                state = state.with_flags({i: "02", j: "02"})
-                reading = qpc_read_pair(state, i, j, rng)
-                state = reading.post_state.with_flags({i: "11", j: "11"})
-                state = ising_phase(state, i, j, sweep_phi, adjacency)
+                reading = qpc_read_pair(sweep_out(state, i, j, sweep_phi, adjacency),
+                                        i, j, rng)
+                state = sweep_home(reading.post_state, i, j, sweep_phi, adjacency)
                 events.append({"step": s, "kind": "read_pair",
                                "molecules": list(action.molecules),
                                "level": reading.level,

@@ -9,13 +9,11 @@ trial.
 """
 from __future__ import annotations
 
-from dotmol import (DEFAULT_CURRENTS, Rotation, apply_rotation, ising_phase,
-                    qpc_read_pair)
+from dotmol import Rotation, apply_rotation, ising_phase, qpc_read_pair
 from dotmol.measurement import _measurement_sweep
 
 
-def reference_bell(state, i, j, g, params, rng, safety_factor=10.0,
-                   currents=DEFAULT_CURRENTS):
+def reference_bell(state, i, j, g, params, rng, safety_factor=10.0):
     """(round1, round2, classification, phi, final_state) of one trial."""
     adjacency = g.topology.adjacency()
     _, sweep_phi = _measurement_sweep(g, params, safety_factor)
@@ -24,7 +22,7 @@ def reference_bell(state, i, j, g, params, rng, safety_factor=10.0,
     state = ising_phase(state, i, j, sweep_phi, adjacency)
     phi += sweep_phi
     state = state.with_flags({i: "02", j: "02"})
-    first = qpc_read_pair(state, i, j, rng, currents, accumulated_phase=phi)
+    first = qpc_read_pair(state, i, j, rng)
     state = first.post_state.with_flags({i: "11", j: "11"})
     state = ising_phase(state, i, j, sweep_phi, adjacency)
     phi += sweep_phi
@@ -38,7 +36,7 @@ def reference_bell(state, i, j, g, params, rng, safety_factor=10.0,
     state = ising_phase(state, i, j, sweep_phi, adjacency)
     phi += sweep_phi
     state = state.with_flags({i: "02", j: "02"})
-    second = qpc_read_pair(state, i, j, rng, currents, accumulated_phase=phi)
+    second = qpc_read_pair(state, i, j, rng)
     state = second.post_state.with_flags({i: "11", j: "11"})
     state = ising_phase(state, i, j, sweep_phi, adjacency)
     phi += sweep_phi

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from dotmol.electrostatics import LayoutGeometry, Topology
-from dotmol.measurement import DEFAULT_READ_DURATION_NS, _measurement_sweep
+from dotmol.measurement import _measurement_sweep
 from dotmol.physics import MoleculeParams
 from dotmol.register import Rotation
 from dotmol.scheduler import (Action, CompileError, RuleViolation, ScheduleProgram,
@@ -57,8 +57,7 @@ def init_schedule(topology: Topology, params: MoleculeParams | None = None,
 
 
 def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams,
-                    safety_factor: float = 10.0,
-                    read_duration: float = DEFAULT_READ_DURATION_NS) -> ScheduleProgram:
+                    safety_factor: float = 10.0) -> ScheduleProgram:
     """Pack a gate list into a conflict-free schedule.
 
     Gates keep their data order per molecule; independent actions pack into
@@ -82,7 +81,7 @@ def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams,
     gate_ramp = gate_hold = None
     meas_ramp = None
     actions = []
-    for action in _lower(gates, read_duration):
+    for action in _lower(gates, g, params, safety_factor):
         if action.kind == "sweep_pair":
             if gate_ramp is None:
                 gate_ramp, gate_hold = _gate_pulse(g, params, safety_factor)

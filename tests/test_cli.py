@@ -13,7 +13,8 @@ from bell_reference import reference_bell
 from schedule_reference import reference_from_json
 
 import dotmol
-from dotmol import BELL_LABELS, Topology, bell_state, substream, validate_program
+from dotmol import (BELL_LABELS, MoleculeParams, Topology, bell_state,
+                    substream, sweep_rate_window, validate_program)
 from dotmol.cli import (BELL_TRIAL_LIMIT, EXIT_BUDGET_WARNINGS, EXIT_OK,
                         EXIT_PHYSICS, EXIT_USAGE, SWEEP_POINT_LIMIT,
                         ConfigError, load_config, main, parse_circuit, run)
@@ -168,7 +169,6 @@ BELL_SCENARIO = {"kind": "bell", "input": "psi_plus", "trials": 2}
 @pytest.mark.parametrize("config", [
     dict(BASE, scenario=dict(BELL_SCENARIO, trials="abc")),
     dict(BASE, scenario=BELL_SCENARIO, seed="x"),
-    dict(BASE, scenario=BELL_SCENARIO, workers="two"),
     dict(BASE, scenario=BELL_SCENARIO, safety_factor=None),
     [dict(BASE, scenario=BELL_SCENARIO)],
     dict(BASE, scenario={"kind": "compile", "circuit": 5}),
@@ -185,7 +185,7 @@ BELL_SCENARIO = {"kind": "bell", "input": "psi_plus", "trials": 2}
     dict(BASE, scenario={"kind": "sweep", "parameter": "epsilon", "observable": ["h_cc"],
                          "start": 0.0, "stop": 1.0, "points": 2}),
     dict(BASE, scenario=BELL_SCENARIO, params={"tunnel\ncoupling": 1.0}),
-], ids=["trials", "seed", "workers", "safety_factor", "top_level_array",
+], ids=["trials", "seed", "safety_factor", "top_level_array",
         "circuit_number", "circuit_list", "echo_string", "diagonal_string",
         "safety_factor_nan", "n_infinite", "grid_without_rows", "g_factor_string",
         "coherence_time_nan", "permittivity_nan", "observable_list",
@@ -248,6 +248,22 @@ def test_compile_empty_circuit(tmp_path):
     code, blob = run_cli(path, tmp_path / "out.json")
     assert code == EXIT_OK
     assert json.loads(blob)["schedule"]["steps"] == []
+
+
+def test_rotation_only_circuit_compiles_without_a_sweep_window(tmp_path):
+    # tunnel_coupling 1.0 leaves the adiabaticity window empty; rotations
+    # need no sweep, so only a gate pulse or a read would be refused
+    assert sweep_rate_window(MoleculeParams(tunnel_coupling=1.0), 10.0).is_empty
+    path = write_run(tmp_path, {"kind": "compile", "circuit": "c.txt"},
+                     circuit="H 0\nZ 1 0.5\nXZ 0 1.2 -0.3\n",
+                     params={"tunnel_coupling": 1.0})
+    code, blob = run_cli(path, tmp_path / "out.json")
+    assert code == EXIT_OK
+    assert [a["kind"] for step in json.loads(blob)["schedule"]["steps"]
+            for a in step["actions"]] == ["rotate"] * 3
+    (tmp_path / "c.txt").write_text("H 0\nMEASURE 1\n")
+    code, blob = run_cli(path, tmp_path / "out2.json")
+    assert code == EXIT_PHYSICS
 
 
 def test_compile_budget_warnings_exit_three(tmp_path):
@@ -332,18 +348,15 @@ def bell_rows(blob):
 
 def test_bell_scenario_counts_and_determinism(tmp_path):
     scenario = {"kind": "bell", "input": "psi_minus", "trials": 40}
-    path = write_run(tmp_path, scenario, workers=1)
+    path = write_run(tmp_path, scenario)
     code, blob = run_cli(path, tmp_path / "a.json")
     assert code == EXIT_OK
     rows = bell_rows(blob)
     assert len(rows) == 40  # one JSON line per trial
     assert all(r["classification"] == "psi_minus" for r in rows)
     assert all(r["round1"] == "I_mid" and r["round2"] == "I_mid" for r in rows)
-
-    # workers > 1 must not change a single byte
-    path4 = write_run(tmp_path, scenario, name="run4.json", workers=4)
-    _, blob4 = run_cli(path4, tmp_path / "b.json")
-    assert blob4 == blob
+    _, again = run_cli(path, tmp_path / "b.json")
+    assert again == blob
 
 
 def test_bell_adding_trials_keeps_earlier_lines(tmp_path):
@@ -418,8 +431,10 @@ def test_bell_table_path_matches_step_by_step_reference(tmp_path, label):
 def json_run(tmp_path, case, seed):
     """Config path of one indented-JSON case; the seed draws its inputs."""
     rnd = random.Random(seed)
-    if case in ("compile", "simulate"):
-        topology = Topology.grid(2, 3) if case == "compile" else Topology.grid(2, 2)
+    if case in ("compile", "simulate", "simulate_bell"):
+        # simulate_bell keeps the BELL lines, so scheduled pair reads run
+        simulate = case.startswith("simulate")
+        topology = Topology.grid(2, 2) if simulate else Topology.grid(2, 3)
         pairs = sorted(topology.adjacency())
         lines = []
         for _ in range(40):
@@ -433,7 +448,8 @@ def json_run(tmp_path, case, seed):
                                        *map(repr, angles)]))
         if case == "simulate":
             lines = [line for line in lines if not line.startswith("BELL")]
-        return write_run(tmp_path, {"kind": case, "circuit": "c.txt"},
+        return write_run(tmp_path, {"kind": "simulate" if simulate else case,
+                                    "circuit": "c.txt"},
                          circuit="\n".join(lines) + "\n", seed=seed,
                          geometry={"topology": {"kind": "grid", "rows": topology.rows,
                                                 "cols": topology.cols}},
@@ -462,6 +478,8 @@ def json_run(tmp_path, case, seed):
 
 # sha256 and exit code of the indented-JSON output of each case, as written
 # by json.dumps(payload, sort_keys=True, indent=2) before the direct writer
+# (simulate_bell: by the direct writer, before the scheduled pair read
+# shared measurement's sweep functions)
 JSON_GOLDEN = {
     ("compile", 7): (0, "c7ad725eb714526150b4249cf621fb0ace0708405fa0aa898ef8cef92f53720d"),
     ("compile", 1201): (0, "497751752a57dd68cb3caa9c48e6d81a078f6b776338af1eaf5f4f5d07a8a842"),
@@ -469,6 +487,8 @@ JSON_GOLDEN = {
     ("compile_budget", 1201): (3, "d24578ab4acfbf6db3c2c0e47af259ab0a65513b96517397589e811b5df5fb7e"),
     ("simulate", 7): (0, "fe4655036e8799ea52fcbb46d04968584e599566e668b4e1bea5534d4a129a4a"),
     ("simulate", 1201): (0, "973f34b6e5bd806fac2bddc7e26613f9c27bc6bfc796d46fbbfdfbf293460fd7"),
+    ("simulate_bell", 7): (0, "c31410f68dab160632624af0bf791595130c14946253b5a78de966ff0991dd0e"),
+    ("simulate_bell", 1201): (0, "b60a2e6819503a6fe4fe05a9059e573f35aa53bd4ef01d91ad11624d88f97643"),
     ("sweep_epsilon", 7): (0, "bab91f7c48731aab141969b59e1f3b0c29b62951fb10ec63d3864d68feb978ec"),
     ("sweep_epsilon", 1201): (0, "2fc385fb3b47ff05b83dbe29051493ffb34e5b8ab683f2bc7c17b4a6e7300928"),
     ("sweep_distance", 7): (0, "8efdfa3a0aef3f9c192e8328e5438405617729ca191a817526a78b877e03ebe4"),
@@ -485,18 +505,22 @@ def test_json_output_bytes_are_pinned(tmp_path, case, seed):
 
 
 # sha256 of the simulate cases above written as CSV, from before the CSV
-# branch read the state object instead of its state_json pairs
+# branch read the state object (simulate) and before the scheduled pair
+# read shared measurement's sweep functions (simulate_bell)
 CSV_GOLDEN = {
-    7: "07e7051753c759afd42c6824f7cde3e3777f138d4ccf5553047c5ba8a8fd741b",
-    1201: "f54b1044cec9d920f2ee98df0812ff95d28772131b828dc755c9b5869f53e32d",
+    7: {"simulate": "07e7051753c759afd42c6824f7cde3e3777f138d4ccf5553047c5ba8a8fd741b",
+        "simulate_bell": "99f416a320efc76476438f8494c805aebbbac045ecc8125bcd9893a268c3c56c"},
+    1201: {"simulate": "f54b1044cec9d920f2ee98df0812ff95d28772131b828dc755c9b5869f53e32d",
+           "simulate_bell": "2e886f469f7cc73c681bdaac05b6522f67dd3bcf96e4a7c3bf52b6cb56180486"},
 }
 
 
 @pytest.mark.parametrize("seed", sorted(CSV_GOLDEN))
 def test_simulate_csv_bytes_are_pinned(tmp_path, seed):
-    code, blob = run_cli(json_run(tmp_path, "simulate", seed), tmp_path / "out.csv",
-                         "--format", "csv")
-    assert (code, hashlib.sha256(blob).hexdigest()) == (EXIT_OK, CSV_GOLDEN[seed])
+    for case, digest in CSV_GOLDEN[seed].items():
+        code, blob = run_cli(json_run(tmp_path, case, seed),
+                             tmp_path / f"{case}.csv", "--format", "csv")
+        assert (case, code, hashlib.sha256(blob).hexdigest()) == (case, EXIT_OK, digest)
 
 
 def test_sweep_epsilon_h_cc_monotone(tmp_path):
@@ -571,6 +595,12 @@ def test_stdout_when_no_out_flag(tmp_path, capsysbinary):
     assert main(["--config", str(path)]) == EXIT_OK
     captured = capsysbinary.readouterr()
     assert json.loads(captured.out)["scenario"] == "sweep"
+
+
+def test_every_public_name_resolves():
+    missing = [name for name in dotmol.__all__ if not hasattr(dotmol, name)]
+    assert missing == []
+    assert len(set(dotmol.__all__)) == len(dotmol.__all__)
 
 
 def test_cli_import_pulls_in_no_scipy():

@@ -69,7 +69,7 @@ KEY_PATHS = {
         ("scenario", "input"), ("scenario", "trials"), ("scenario", "parameter"),
         ("scenario", "observable"), ("scenario", "start"), ("scenario", "stop"),
         ("scenario", "points")],
-    "run": [(), ("seed",), ("format",), ("echo",), ("workers",), ("safety_factor",)],
+    "run": [(), ("seed",), ("format",), ("echo",), ("safety_factor",)],
 }
 DELETE = object()
 # one of each JSON type, words the config uses elsewhere, non-finite floats

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 from bell_reference import reference_bell
 
-from dotmol import (BELL_LABELS, EncodedRegisterState, QpcCurrents,
-                    bell_branches, bell_measure, bell_state, decompose_bell,
+from dotmol import (BELL_LABELS, EncodedRegisterState, bell_branches, bell_measure, bell_state, decompose_bell,
                     pair_read_probabilities, product_state, qpc_read_pair,
                     qpc_read_single, substream)
 
@@ -46,13 +45,6 @@ def test_decompose_random_state_is_unitary(rng):
 def test_decompose_needs_two_molecules():
     with pytest.raises(ValueError):
         decompose_bell(product_state("TTT"))
-
-
-def test_qpc_currents_ordering():
-    with pytest.raises(ValueError):
-        QpcCurrents(i_max=0.5, i_mid=0.5, i_min=0.0)
-    c = QpcCurrents(2.0, 1.0, 0.5)
-    assert c.value("I_mid") == 1.0
 
 
 def test_read_single_deterministic(rng):

@@ -42,6 +42,13 @@ def test_state_validation():
         EncodedRegisterState(np.array([1.0, 0.0]), ("20",))  # bad flag
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_state_refuses_non_finite_amplitudes(value):
+    # the norm of such a state is NaN, which no tolerance comparison rejects
+    with pytest.raises(ValueError, match="is not 1 within 1e-10"):
+        EncodedRegisterState(np.array([value, 0.0]), ("11",))
+
+
 def test_rotation_matrices_unitary():
     rng = np.random.default_rng(5)
     rotations = [Rotation.hadamard()]

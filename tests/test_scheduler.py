@@ -1,6 +1,7 @@
 """Schedule compilation, exclusion-rule validation, and time budgets."""
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -368,8 +369,9 @@ def test_budget_flags_second_read_even_with_echo(geometry, params):
 
 def test_budget_one_read_fits_the_echo_window(geometry, params):
     # a single (shortened) read inside the echoed window raises no flags
-    program = compile_circuit([Gate("measure", (0,))], geometry, params,
-                              read_duration=500.0)
+    read, = compile_circuit([Gate("measure", (0,))], geometry, params).steps[0].actions
+    short = replace(read, duration=2.0 * read.ramp + 500.0, read_duration=500.0)
+    program = ScheduleProgram((ScheduleStep((short,)),), 2)
     report = time_budget(program, params, echo=True)
     assert report.ok
     assert report.read_counts[0] == 1
