@@ -14,7 +14,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -23,7 +23,7 @@ import numpy as np
 
 from .electrostatics import (LayoutGeometry, Topology, background_interaction,
                              h_cc, nnn_coupling_ratio, pair_coupling)
-from .measurement import BELL_LABELS, BellBranches, bell_branches, bell_state
+from .measurement import BELL_LABELS, bell_branches, bell_state
 from .physics import MoleculeParams, adiabatic_angle, charge_branch_energies, sin_sq_mixing
 from .register import EncodedRegisterState, check_register_size
 from .scheduler import (Action, Gate, ScheduleProgram, ScheduleStep,
@@ -62,6 +62,8 @@ class RunConfig:
     def __post_init__(self):
         if self.out_format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, not {self.out_format!r}")
+        if self.out_format == "csv" and self.scenario.get("kind") == "compile":
+            raise ConfigError("scenario 'compile' has no CSV rendering; use json")
         if not (math.isfinite(self.safety_factor) and self.safety_factor >= 1):
             raise ConfigError("safety_factor must be finite and >= 1")
 
@@ -211,7 +213,11 @@ def _budget_json(report) -> dict:
 def _load_gates(config: RunConfig, config_dir: Path) -> list[Gate]:
     circuit = config.scenario["circuit"]
     path = (config_dir / circuit) if (config_dir / circuit).is_file() else Path(circuit)
-    return parse_circuit(path.read_text())
+    try:
+        text = path.read_text()
+    except (UnicodeDecodeError, OSError) as exc:
+        raise ConfigError(f"cannot read circuit file {circuit!r}: {exc}") from exc
+    return parse_circuit(text)
 
 
 def _run_compile(config: RunConfig, config_dir: Path) -> tuple[int, dict]:
@@ -246,21 +252,14 @@ def _run_simulate(config: RunConfig, config_dir: Path) -> tuple[int, dict]:
     return (EXIT_OK if report.ok else EXIT_BUDGET_WARNINGS), payload
 
 
-@lru_cache(maxsize=32)
-def _bell_branches(label: str, g: LayoutGeometry, params: MoleculeParams,
-                   safety_factor: float) -> BellBranches:
-    """Branch table of one Bell input on molecules (0, 1); trials only sample
-    it. Every run with the same key shares the table, so nothing modifies it."""
-    return bell_branches(bell_state(label), 0, 1, g, params, safety_factor)
-
-
 def _run_bell(config: RunConfig) -> tuple[int, dict]:
     label = config.scenario["input"]
     trials = int(config.scenario["trials"])
     if config.geometry.topology.size < 2:
         raise ValueError("bell scenario needs at least two molecules")
-    branches = _bell_branches(label, config.geometry, config.params,
-                              config.safety_factor)
+    # the protocol up to its two draws is fixed by the input; trials only sample
+    branches = bell_branches(bell_state(label), 0, 1, config.geometry,
+                             config.params, config.safety_factor)
 
     def one(trial: int) -> dict:
         outcome = branches.sample(substream(config.seed, "bell", label, trial))
@@ -313,11 +312,7 @@ def _run_sweep(config: RunConfig) -> tuple[int, dict]:
             raise ValueError(f"unknown distance observable {observable!r}; "
                              f"choose from {sorted(_DISTANCE_OBSERVABLES)}")
         for v in values:
-            g = LayoutGeometry(
-                intra_dot_distance=config.geometry.intra_dot_distance,
-                inter_molecule_distance=v, layout=config.geometry.layout,
-                topology=config.geometry.topology,
-                relative_permittivity=config.geometry.relative_permittivity)
+            g = replace(config.geometry, inter_molecule_distance=v)
             rows.append([v, float(fn(g))])
     else:
         raise ValueError(f"unknown sweep parameter {parameter!r}")
@@ -497,13 +492,11 @@ def _render(payload: dict, out_format: str) -> bytes:
             writer.writerow([row["trial"], row["seed"], row["input"],
                              row["round1"], row["round2"] or "",
                              row["classification"], repr(row["phi"])])
-    elif kind == "simulate":
+    else:  # simulate; RunConfig refuses CSV for compile
         writer.writerow(["index", "re", "im"])
         halves = iter(_flat_amplitudes(payload["final_state"]))
         for index, (re, im) in enumerate(zip(halves, halves)):
             writer.writerow([index, repr(re), repr(im)])
-    else:
-        raise ConfigError(f"scenario {kind!r} has no CSV rendering; use json")
     return buf.getvalue().encode()
 
 

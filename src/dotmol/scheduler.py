@@ -85,10 +85,6 @@ class ScheduleStep:
     def duration(self) -> float:
         return max((a.duration for a in self.actions), default=0.0)
 
-    @property
-    def molecules(self) -> frozenset[int]:
-        return frozenset(m for a in self.actions for m in a.molecules)
-
 
 @dataclass(frozen=True)
 class ScheduleProgram:
@@ -108,32 +104,19 @@ class RuleViolation:
     message: str
 
 
-def init_schedule(topology: Topology, params: MoleculeParams | None = None,
+def init_schedule(topology: Topology, params: MoleculeParams,
                   safety_factor: float = 10.0) -> ScheduleProgram:
-    """Parallel initialization by greedy coloring of the adjacency graph.
+    """Parallel initialization, packed like any other charge-displacing action.
 
     Each molecule loads a doubly occupied singlet and sweeps to (1,1);
-    adjacent molecules must not do so in the same step, so the step count
-    is the greedy color count: 2 on a line, 4 on a diagonal-adjacency grid
-    (2 edge-only), scanning molecules in index order.
+    adjacent molecules must not do so in the same step. Packing the init
+    actions in index order puts each molecule in the first step that holds
+    none of its neighbours: 2 steps on a line, 4 on a diagonal-adjacency
+    grid (2 edge-only).
     """
-    neighbors = topology.neighbor_table()
-    colors: dict[int, int] = {}
-    for m in range(topology.size):
-        taken = {colors[o] for o in neighbors[m] if o in colors}
-        color = 0
-        while color in taken:
-            color += 1
-        colors[m] = color
-    ramp = 1.0
-    if params is not None:
-        ramp = _gate_ramp(params, safety_factor)
-    steps = []
-    for color in range(max(colors.values(), default=-1) + 1):
-        members = [m for m in sorted(colors) if colors[m] == color]
-        steps.append(ScheduleStep(tuple(
-            Action("init", (m,), duration=ramp, ramp=ramp) for m in members)))
-    return ScheduleProgram(tuple(steps), topology.size)
+    ramp = _gate_ramp(params, safety_factor)
+    return _pack([Action("init", (m,), duration=ramp, ramp=ramp)
+                  for m in range(topology.size)], topology.neighbor_table())
 
 
 def _gate_ramp(params: MoleculeParams, safety_factor: float) -> float:
@@ -242,7 +225,12 @@ def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams,
             raise CompileError(
                 f"{gate.kind} on non-adjacent molecules {gate.qubits}; "
                 "routing is not supported, rewrite the circuit")
+    return _pack(_lower(gates, g, params, safety_factor), neighbors)
 
+
+def _pack(actions, neighbors: tuple[frozenset[int], ...]) -> ScheduleProgram:
+    """Pack actions, in order, into the earliest steps the exclusion rules
+    allow; neighbors[m] holds molecule m's neighbours."""
     # Per step: its actions, the neighbours of its displaced molecules, and
     # whether it holds a read. Reads are sensitive to any nearby charge
     # motion, so a read opens a step of its own and no later action joins
@@ -253,8 +241,9 @@ def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams,
     steps: list[list[Action]] = []
     near: list[set[int]] = []
     holds_read: list[bool] = []
+    size = len(neighbors)
     frontier = [0] * size
-    for action in _lower(gates, g, params, safety_factor):
+    for action in actions:
         read = action.kind in ("read_single", "read_pair")
         displaced = action.displaced
         placed = len(steps)

@@ -218,8 +218,8 @@ def test_criterion_6_bell_protocol():
 
 def test_criterion_7_coloring_and_validator():
     params = MoleculeParams()
-    ok = len(init_schedule(Topology.line(5)).steps) == 2
-    ok &= len(init_schedule(Topology.grid(3, 3)).steps) == 4
+    ok = len(init_schedule(Topology.line(5), params).steps) == 2
+    ok &= len(init_schedule(Topology.grid(3, 3), params).steps) == 4
 
     for topology, gates in (
             (Topology.line(4), [Gate("h", (0,)), Gate("cnot", (0, 1)),

@@ -209,6 +209,26 @@ def test_unreadable_config_exits_one_without_traceback(tmp_path, capsys, blob):
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("kind", ["compile", "simulate"])
+def test_non_utf8_circuit_exits_one_without_record(tmp_path, capsysbinary, kind):
+    path = write_run(tmp_path, {"kind": kind, "circuit": "c.txt"})
+    (tmp_path / "c.txt").write_bytes(b"\xff\xfeH 0\n")
+    assert main(["--config", str(path)]) == EXIT_USAGE
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert len(captured.err.splitlines()) == 1
+    assert captured.err.startswith(b"error: cannot read circuit file 'c.txt'")
+
+
+def test_circuit_gone_before_run_is_a_config_error(tmp_path):
+    path = write_run(tmp_path, {"kind": "compile", "circuit": "c.txt"},
+                     circuit="H 0\n")
+    config = load_config(path)
+    (tmp_path / "c.txt").unlink()
+    with pytest.raises(ConfigError, match="cannot read circuit file"):
+        run(config, tmp_path)
+
+
 # --- scenarios through main() ---
 
 def test_usage_errors_exit_one(tmp_path):
@@ -586,6 +606,17 @@ def test_compile_has_no_csv_rendering(tmp_path):
     code = main(["--config", str(path), "--format", "csv",
                  "--out", str(tmp_path / "out.csv")])
     assert code == EXIT_USAGE
+
+
+def test_compile_csv_is_refused_before_compiling(tmp_path, capsysbinary):
+    # CNOT 0 5 on line(6) cannot compile; the format is refused first
+    path = write_run(tmp_path, {"kind": "compile", "circuit": "c.txt"},
+                     circuit="CNOT 0 5\n", format="csv",
+                     geometry={"topology": {"kind": "line", "n": 6}})
+    assert main(["--config", str(path)]) == EXIT_USAGE
+    captured = capsysbinary.readouterr()
+    assert captured.out == b""
+    assert captured.err == b"error: scenario 'compile' has no CSV rendering; use json\n"
 
 
 def test_stdout_when_no_out_flag(tmp_path, capsysbinary):

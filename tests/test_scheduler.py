@@ -20,28 +20,28 @@ def members(step):
     return sorted(m for a in step.actions for m in a.molecules)
 
 
-def test_init_line_two_steps():
-    program = init_schedule(Topology.line(5))
+def test_init_line_two_steps(params):
+    program = init_schedule(Topology.line(5), params)
     assert len(program.steps) == 2
     assert members(program.steps[0]) == [0, 2, 4]
     assert members(program.steps[1]) == [1, 3]
     for n in (2, 3, 7, 12):
-        assert len(init_schedule(Topology.line(n)).steps) == 2
+        assert len(init_schedule(Topology.line(n), params).steps) == 2
 
 
-def test_init_single_molecule_one_step():
-    program = init_schedule(Topology.line(1))
+def test_init_single_molecule_one_step(params):
+    program = init_schedule(Topology.line(1), params)
     assert len(program.steps) == 1
 
 
-def test_init_grid_diagonal_four_steps():
-    assert len(init_schedule(Topology.grid(3, 3)).steps) == 4
-    assert len(init_schedule(Topology.grid(2, 2)).steps) == 4
-    assert len(init_schedule(Topology.grid(4, 5)).steps) == 4
+def test_init_grid_diagonal_four_steps(params):
+    assert len(init_schedule(Topology.grid(3, 3), params).steps) == 4
+    assert len(init_schedule(Topology.grid(2, 2), params).steps) == 4
+    assert len(init_schedule(Topology.grid(4, 5), params).steps) == 4
 
 
-def test_init_grid_edge_only_two_steps():
-    assert len(init_schedule(Topology.grid(3, 3, diagonal=False)).steps) == 2
+def test_init_grid_edge_only_two_steps(params):
+    assert len(init_schedule(Topology.grid(3, 3, diagonal=False), params).steps) == 2
 
 
 def test_init_steps_validate(params):
@@ -178,8 +178,10 @@ def reference_topologies(rng, count):
 
 
 def test_init_colors_match_reference(params):
-    for topology in (Topology.line(1), Topology.line(9), Topology.grid(5, 7),
-                     Topology.grid(6, 4, diagonal=False), Topology.grid(1, 5)):
+    fixed = (Topology.line(1), Topology.line(9), Topology.grid(5, 7),
+             Topology.grid(6, 4, diagonal=False), Topology.grid(1, 5))
+    rng = np.random.default_rng(808)
+    for topology in (*fixed, *reference_topologies(rng, 150)):
         assert init_schedule(topology, params) == reference.init_schedule(topology, params)
 
 
@@ -193,7 +195,7 @@ def test_topology_adjacency_is_built_once(monkeypatch, params):
 
     monkeypatch.setattr(Topology, "adjacency", counted)
     g = LayoutGeometry(topology=Topology.grid(64, 64))
-    assert len(init_schedule(g.topology).steps) == 4
+    assert len(init_schedule(g.topology, params).steps) == 4
     assert len(calls) == 1
     compile_circuit([Gate("cz", (0, 65)), Gate("bell", (4094, 4095))], g, params)
     assert len(calls) == 2
@@ -260,7 +262,7 @@ def scrambled_program(rng, topology, params):
     """Init, circuit and stray actions dealt at random into a few steps."""
     g = LayoutGeometry(topology=topology)
     program = compile_circuit(random_circuit(rng, topology, length=(10, 60)), g, params)
-    actions = [a for step in init_schedule(topology).steps + program.steps
+    actions = [a for step in init_schedule(topology, params).steps + program.steps
                for a in step.actions]
     for m in (topology.size, topology.size + 2, -1):
         kind = str(rng.choice(["init", "read_single", "rotate"]))
