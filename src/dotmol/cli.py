@@ -57,15 +57,12 @@ class RunConfig:
     seed: int = 0
     out_format: str = "json"
     echo: bool = False
-    safety_factor: float = 10.0
 
     def __post_init__(self):
         if self.out_format not in ("json", "csv"):
             raise ConfigError(f"format must be json or csv, not {self.out_format!r}")
         if self.out_format == "csv" and self.scenario.get("kind") == "compile":
             raise ConfigError("scenario 'compile' has no CSV rendering; use json")
-        if not (math.isfinite(self.safety_factor) and self.safety_factor >= 1):
-            raise ConfigError("safety_factor must be finite and >= 1")
 
 
 def _build_topology(data: dict) -> Topology:
@@ -105,11 +102,17 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a JSON object, not {type(data).__name__}")
     overrides = overrides or {}
+    # the sweep margin is set at the top level and kept in MoleculeParams
+    margin = ({"safety_factor": _scalar(float, data["safety_factor"], "safety_factor")}
+              if "safety_factor" in data else {})
     try:
         geometry = LayoutGeometry(
             topology=_build_topology(data.get("geometry", {}).get("topology", {})),
             **{k: v for k, v in data.get("geometry", {}).items() if k != "topology"})
-        params = MoleculeParams(**data.get("params", {}))
+        params = data.get("params", {})
+        if isinstance(params, dict) and "safety_factor" in params:
+            raise ConfigError("safety_factor is a top-level key, not a params key")
+        params = MoleculeParams(**params, **margin)
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad geometry or params: {exc}") from exc
     scenario = data.get("scenario")
@@ -122,7 +125,6 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         seed=_scalar(int, data.get("seed", 0), "seed"),
         out_format=str(data.get("format", "json")),
         echo=_flag(data.get("echo", False), "echo"),
-        safety_factor=_scalar(float, data.get("safety_factor", 10.0), "safety_factor"),
     )
     for key in ("seed", "out_format", "echo"):
         if overrides.get(key) is not None:
@@ -167,31 +169,28 @@ def parse_circuit(text: str) -> list[Gate]:
         tokens = line.split()
         op, args = tokens[0].upper(), tokens[1:]
 
-        def ints(k):
-            if len(args) != k:
-                raise ConfigError(f"line {lineno}: {op} takes {k} argument(s)")
+        def qubits(width, arity, usage):
+            """The first width of exactly arity arguments, as qubit indices."""
+            if len(args) != arity:
+                raise ConfigError(f"line {lineno}: {op} takes {usage}")
             try:
-                return [int(a) for a in args]
+                return tuple([int(a) for a in args[:width]])
             except ValueError as exc:
                 raise ConfigError(f"line {lineno}: bad index in {line!r}") from exc
 
         try:
             if op == "H":
-                gates.append(Gate("h", (ints(1)[0],)))
+                gates.append(Gate("h", qubits(1, 1, "1 argument(s)")))
             elif op == "Z":
-                if len(args) != 2:
-                    raise ConfigError(f"line {lineno}: Z takes qubit and angle")
-                gates.append(Gate("z", (int(args[0]),), angle=float(args[1])))
+                gates.append(Gate("z", qubits(1, 2, "qubit and angle"),
+                                  angle=float(args[1])))
             elif op == "XZ":
-                if len(args) != 3:
-                    raise ConfigError(f"line {lineno}: XZ takes qubit, axis, angle")
-                gates.append(Gate("xz", (int(args[0]),),
+                gates.append(Gate("xz", qubits(1, 3, "qubit, axis, angle"),
                                   axis_angle=float(args[1]), angle=float(args[2])))
             elif op in ("CNOT", "CZ", "BELL"):
-                i, j = ints(2)
-                gates.append(Gate(op.lower(), (i, j)))
+                gates.append(Gate(op.lower(), qubits(2, 2, "2 argument(s)")))
             elif op == "MEASURE":
-                gates.append(Gate("measure", (ints(1)[0],)))
+                gates.append(Gate("measure", qubits(1, 1, "1 argument(s)")))
             else:
                 raise ConfigError(f"line {lineno}: unknown gate {op!r}")
         except ValueError as exc:
@@ -222,8 +221,7 @@ def _load_gates(config: RunConfig, config_dir: Path) -> list[Gate]:
 
 def _run_compile(config: RunConfig, config_dir: Path) -> tuple[int, dict]:
     gates = _load_gates(config, config_dir)
-    program = compile_circuit(gates, config.geometry, config.params,
-                              config.safety_factor)
+    program = compile_circuit(gates, config.geometry, config.params)
     findings = validate_program(program, config.geometry.topology.adjacency())
     report = time_budget(program, config.params, echo=config.echo)
     payload = {"scenario": "compile", "schedule": program,
@@ -235,10 +233,8 @@ def _run_compile(config: RunConfig, config_dir: Path) -> tuple[int, dict]:
 def _run_simulate(config: RunConfig, config_dir: Path) -> tuple[int, dict]:
     check_register_size(config.geometry.topology.size)
     gates = _load_gates(config, config_dir)
-    prologue = init_schedule(config.geometry.topology, config.params,
-                             config.safety_factor)
-    compiled = compile_circuit(gates, config.geometry, config.params,
-                               config.safety_factor)
+    prologue = init_schedule(config.geometry.topology, config.params)
+    compiled = compile_circuit(gates, config.geometry, config.params)
     program = ScheduleProgram(prologue.steps + compiled.steps,
                               config.geometry.topology.size)
     rng = substream(config.seed, "simulate")
@@ -258,8 +254,7 @@ def _run_bell(config: RunConfig) -> tuple[int, dict]:
     if config.geometry.topology.size < 2:
         raise ValueError("bell scenario needs at least two molecules")
     # the protocol up to its two draws is fixed by the input; trials only sample
-    branches = bell_branches(bell_state(label), 0, 1, config.geometry,
-                             config.params, config.safety_factor)
+    branches = bell_branches(bell_state(label), 0, 1, config.geometry, config.params)
 
     def one(trial: int) -> dict:
         outcome = branches.sample(substream(config.seed, "bell", label, trial))

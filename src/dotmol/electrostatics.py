@@ -258,6 +258,8 @@ def nnn_coupling_ratio(g: LayoutGeometry) -> float:
     (1/(2b) - 1/sqrt(a^2+4b^2)) / (1/b - 1/sqrt(a^2+b^2)); approaches 1/8
     as a/b -> 0, which is what justifies nearest-neighbour truncation.
     """
+    if g.layout != "perpendicular":
+        raise ValueError("nnn_coupling_ratio needs a perpendicular geometry")
     a, b = g.intra_dot_distance, g.inter_molecule_distance
     near = 1.0 / b - 1.0 / math.hypot(a, b)
     far = 1.0 / (2.0 * b) - 1.0 / math.hypot(a, 2.0 * b)

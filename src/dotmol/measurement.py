@@ -210,10 +210,9 @@ class BellOutcome:
 
 
 @lru_cache(maxsize=32)
-def _measurement_sweep(g: LayoutGeometry, params: MoleculeParams,
-                       safety_factor: float) -> tuple[float, float]:
+def _measurement_sweep(g: LayoutGeometry, params: MoleculeParams) -> tuple[float, float]:
     """(ramp duration, per-sweep Ising phase) of the minimal valid sweep."""
-    window = sweep_rate_window(params, safety_factor)
+    window = sweep_rate_window(params)
     if window.is_empty:
         raise ValueError("adiabaticity window is empty; no valid measurement sweep")
     ramp = window.min_duration
@@ -248,8 +247,7 @@ class BellBranches:
 
 
 def bell_branches(state: EncodedRegisterState, i: int, j: int,
-                  g: LayoutGeometry, params: MoleculeParams,
-                  safety_factor: float = 10.0) -> BellBranches:
+                  g: LayoutGeometry, params: MoleculeParams) -> BellBranches:
     """Branch table of the two-round QPC Bell measurement on adjacent i, j.
 
     Round one sweeps both to +Ec/2 and reads. I_max or I_min means the Phi
@@ -261,7 +259,7 @@ def bell_branches(state: EncodedRegisterState, i: int, j: int,
     branch is followed once; nothing here draws a random number.
     """
     adjacency = g.topology.adjacency()
-    _, sweep_phi = _measurement_sweep(g, params, safety_factor)
+    _, sweep_phi = _measurement_sweep(g, params)
     # Ising phase after one round (out and home) and after two, summed in
     # sweep order
     phi1 = sweep_phi + sweep_phi
@@ -300,8 +298,7 @@ def bell_branches(state: EncodedRegisterState, i: int, j: int,
 
 def bell_measure(state: EncodedRegisterState, i: int, j: int,
                  g: LayoutGeometry, params: MoleculeParams,
-                 rng: np.random.Generator,
-                 safety_factor: float = 10.0) -> BellOutcome:
+                 rng: np.random.Generator) -> BellOutcome:
     """Two-round QPC Bell measurement on adjacent molecules i, j: one draw
     from bell_branches per read."""
-    return bell_branches(state, i, j, g, params, safety_factor).sample(rng)
+    return bell_branches(state, i, j, g, params).sample(rng)

@@ -25,6 +25,9 @@ class MoleculeParams:
     g_factor         effective electron g-factor (dimensionless).
     nuclear_field    r.m.s. nuclear Overhauser field, mT.
     coherence_time   bare T2 of the encoded qubit, ns.
+    safety_factor    margin (>= 1) of every detuning sweep inside its rate
+                     window: slower than hbar/Tc and faster than the
+                     nuclear mixing time by this factor (sweep_rate_window).
     """
 
     tunnel_coupling: float = 10.0
@@ -32,6 +35,7 @@ class MoleculeParams:
     g_factor: float = 0.44
     nuclear_field: float = 3.0
     coherence_time: float = 10.0
+    safety_factor: float = 10.0
 
     def __post_init__(self):
         if not (self.tunnel_coupling > 0 and math.isfinite(self.tunnel_coupling)):
@@ -48,6 +52,8 @@ class MoleculeParams:
             raise ValueError("g_factor must be finite")
         if not (self.coherence_time > 0 and math.isfinite(self.coherence_time)):
             raise ValueError("coherence_time must be positive and finite")
+        if not (math.isfinite(self.safety_factor) and self.safety_factor >= 1):
+            raise ValueError("safety_factor must be finite and >= 1")
 
     @property
     def detuning_min(self) -> float:
@@ -134,16 +140,15 @@ class SweepWindow:
         return self.min_duration >= self.max_duration
 
 
-def sweep_rate_window(params: MoleculeParams, safety_factor: float = 10.0) -> SweepWindow:
+def sweep_rate_window(params: MoleculeParams) -> SweepWindow:
     """Duration window for a full detuning sweep.
 
-    min = safety * hbar/Tc, max = (1/safety) * hbar/(g* mu_B B_nuc). An
-    empty window (min >= max) is reported as such, never silently clamped.
+    min = safety * hbar/Tc, max = (1/safety) * hbar/(g* mu_B B_nuc), with
+    safety = params.safety_factor. An empty window (min >= max) is reported
+    as such, never silently clamped.
     """
-    if safety_factor < 1.0:
-        raise ValueError("safety_factor must be >= 1")
-    lo = safety_factor * HBAR_UEV_NS / params.tunnel_coupling
-    hi = params.nuclear_mixing_time / safety_factor
+    lo = params.safety_factor * HBAR_UEV_NS / params.tunnel_coupling
+    hi = params.nuclear_mixing_time / params.safety_factor
     return SweepWindow(lo, hi)
 
 
@@ -223,8 +228,7 @@ class WaveformViolation:
     message: str
 
 
-def validate_waveform(w: DetuningWaveform, params: MoleculeParams,
-                      safety_factor: float = 10.0) -> list[WaveformViolation]:
+def validate_waveform(w: DetuningWaveform, params: MoleculeParams) -> list[WaveformViolation]:
     """Check a waveform against range, endpoint and sweep-rate constraints.
 
     Each linear segment's |deps/dt| is converted to the duration an entire
@@ -232,7 +236,7 @@ def validate_waveform(w: DetuningWaveform, params: MoleculeParams,
     sweep_rate_window. Constant holds are exempt from the rate check.
     Returns a report list; an empty list means valid.
     """
-    window = sweep_rate_window(params, safety_factor)
+    window = sweep_rate_window(params)
     span = params.charging_energy
     out: list[WaveformViolation] = []
     lo, hi = params.detuning_min, params.detuning_max

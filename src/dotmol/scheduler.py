@@ -104,8 +104,7 @@ class RuleViolation:
     message: str
 
 
-def init_schedule(topology: Topology, params: MoleculeParams,
-                  safety_factor: float = 10.0) -> ScheduleProgram:
+def init_schedule(topology: Topology, params: MoleculeParams) -> ScheduleProgram:
     """Parallel initialization, packed like any other charge-displacing action.
 
     Each molecule loads a doubly occupied singlet and sweeps to (1,1);
@@ -114,14 +113,14 @@ def init_schedule(topology: Topology, params: MoleculeParams,
     none of its neighbours: 2 steps on a line, 4 on a diagonal-adjacency
     grid (2 edge-only).
     """
-    ramp = _gate_ramp(params, safety_factor)
+    ramp = _gate_ramp(params)
     return _pack([Action("init", (m,), duration=ramp, ramp=ramp)
                   for m in range(topology.size)], topology.neighbor_table())
 
 
-def _gate_ramp(params: MoleculeParams, safety_factor: float) -> float:
+def _gate_ramp(params: MoleculeParams) -> float:
     """Ramp duration: geometric mean of the adiabaticity window, clipped."""
-    window = sweep_rate_window(params, safety_factor)
+    window = sweep_rate_window(params)
     if window.is_empty:
         raise CompileError(
             f"adiabaticity window ({window.min_duration:.3g}, "
@@ -132,15 +131,14 @@ def _gate_ramp(params: MoleculeParams, safety_factor: float) -> float:
                    window.min_duration), window.max_duration)
 
 
-def _gate_pulse(g: LayoutGeometry, params: MoleculeParams,
-                safety_factor: float) -> tuple[float, float]:
+def _gate_pulse(g: LayoutGeometry, params: MoleculeParams) -> tuple[float, float]:
     """(ramp, hold) of the controlled-phase pulse.
 
     The linear ramps out to +Ec/2 and back already accumulate Ising phase,
     so the hold at +Ec/2 is sized to land the total integrated phase on
     the smallest odd multiple of pi above the ramp contribution.
     """
-    ramp = _gate_ramp(params, safety_factor)
+    ramp = _gate_ramp(params)
     phi_ramps = 2.0 * phase_from_waveform(full_sweep(params, ramp), g,
                                           params.tunnel_coupling)
     multiple = math.ceil(phi_ramps / math.pi)
@@ -154,8 +152,7 @@ def _gate_pulse(g: LayoutGeometry, params: MoleculeParams,
     return ramp, hold
 
 
-def _lower(gates, g: LayoutGeometry, params: MoleculeParams,
-           safety_factor: float) -> list[Action]:
+def _lower(gates, g: LayoutGeometry, params: MoleculeParams) -> list[Action]:
     """Expand circuit gates into primitive actions with their durations.
 
     The gate pulse and the measurement sweep are sized on first use, so a
@@ -167,13 +164,13 @@ def _lower(gates, g: LayoutGeometry, params: MoleculeParams,
     @cache
     def pulse() -> dict:
         """Timing keywords of every sweep_pair action."""
-        ramp, hold = _gate_pulse(g, params, safety_factor)
+        ramp, hold = _gate_pulse(g, params)
         return dict(duration=2.0 * ramp + hold, ramp=ramp, hold=hold)
 
     @cache
     def read() -> dict:
         """Timing keywords of every read action."""
-        ramp, _ = _measurement_sweep(g, params, safety_factor)
+        ramp, _ = _measurement_sweep(g, params)
         return dict(duration=2.0 * ramp + READ_DURATION_NS, ramp=ramp,
                     read_duration=READ_DURATION_NS)
 
@@ -206,8 +203,7 @@ def _lower(gates, g: LayoutGeometry, params: MoleculeParams,
     return out
 
 
-def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams,
-                    safety_factor: float = 10.0) -> ScheduleProgram:
+def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams) -> ScheduleProgram:
     """Pack a gate list into a conflict-free schedule.
 
     Gates keep their data order per molecule; independent actions pack into
@@ -225,7 +221,7 @@ def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams,
             raise CompileError(
                 f"{gate.kind} on non-adjacent molecules {gate.qubits}; "
                 "routing is not supported, rewrite the circuit")
-    return _pack(_lower(gates, g, params, safety_factor), neighbors)
+    return _pack(_lower(gates, g, params), neighbors)
 
 
 def _pack(actions, neighbors: tuple[frozenset[int], ...]) -> ScheduleProgram:

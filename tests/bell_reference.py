@@ -13,10 +13,10 @@ from dotmol import Rotation, apply_rotation, ising_phase, qpc_read_pair
 from dotmol.measurement import _measurement_sweep
 
 
-def reference_bell(state, i, j, g, params, rng, safety_factor=10.0):
+def reference_bell(state, i, j, g, params, rng):
     """(round1, round2, classification, phi, final_state) of one trial."""
     adjacency = g.topology.adjacency()
-    _, sweep_phi = _measurement_sweep(g, params, safety_factor)
+    _, sweep_phi = _measurement_sweep(g, params)
     phi = 0.0
 
     state = ising_phase(state, i, j, sweep_phi, adjacency)

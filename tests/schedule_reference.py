@@ -27,8 +27,7 @@ from dotmol.scheduler import (Action, CompileError, RuleViolation, ScheduleProgr
                               ScheduleStep, _gate_pulse, _gate_ramp, _lower)
 
 
-def init_schedule(topology: Topology, params: MoleculeParams | None = None,
-                  safety_factor: float = 10.0) -> ScheduleProgram:
+def init_schedule(topology: Topology, params: MoleculeParams | None = None) -> ScheduleProgram:
     """Parallel initialization by greedy coloring of the adjacency graph.
 
     Each molecule loads a doubly occupied singlet and sweeps to (1,1);
@@ -47,7 +46,7 @@ def init_schedule(topology: Topology, params: MoleculeParams | None = None,
         colors[m] = color
     ramp = 1.0
     if params is not None:
-        ramp = _gate_ramp(params, safety_factor)
+        ramp = _gate_ramp(params)
     steps = []
     for color in range(max(colors.values(), default=-1) + 1):
         members = [m for m in sorted(colors) if colors[m] == color]
@@ -56,8 +55,7 @@ def init_schedule(topology: Topology, params: MoleculeParams | None = None,
     return ScheduleProgram(tuple(steps), topology.size)
 
 
-def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams,
-                    safety_factor: float = 10.0) -> ScheduleProgram:
+def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams) -> ScheduleProgram:
     """Pack a gate list into a conflict-free schedule.
 
     Gates keep their data order per molecule; independent actions pack into
@@ -81,15 +79,15 @@ def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams,
     gate_ramp = gate_hold = None
     meas_ramp = None
     actions = []
-    for action in _lower(gates, g, params, safety_factor):
+    for action in _lower(gates, g, params):
         if action.kind == "sweep_pair":
             if gate_ramp is None:
-                gate_ramp, gate_hold = _gate_pulse(g, params, safety_factor)
+                gate_ramp, gate_hold = _gate_pulse(g, params)
             action = replace(action, ramp=gate_ramp, hold=gate_hold,
                              duration=2.0 * gate_ramp + gate_hold)
         elif action.kind in ("read_single", "read_pair"):
             if meas_ramp is None:
-                meas_ramp, _ = _measurement_sweep(g, params, safety_factor)
+                meas_ramp, _ = _measurement_sweep(g, params)
             action = replace(action, ramp=meas_ramp,
                              duration=2.0 * meas_ramp + action.read_duration)
         actions.append(action)

@@ -74,6 +74,8 @@ def test_parse_circuit_empty_and_comments():
     ("XZ 0 1", "axis"),
     ("CNOT 0", "2 argument"),
     ("H x", "bad index"),
+    ("Z x 1.0", "bad index"),
+    ("XZ y 1 2", "bad index"),
     ("CZ 0 0", "distinct"),
 ])
 def test_parse_circuit_errors(line, fragment):
@@ -149,6 +151,25 @@ def test_load_config_rejects_bad_params(tmp_path):
         "scenario": {"kind": "bell", "input": "psi_plus", "trials": 1}}))
     with pytest.raises(ConfigError, match="bad geometry or params"):
         load_config(path)
+
+
+def test_top_level_safety_factor_sets_the_params_margin(tmp_path):
+    path = write_run(tmp_path, {"kind": "bell", "input": "psi_plus", "trials": 2},
+                     safety_factor=5.0)
+    assert load_config(path).params.safety_factor == 5.0
+    path = write_run(tmp_path, {"kind": "bell", "input": "psi_plus", "trials": 2})
+    assert load_config(path).params.safety_factor == MoleculeParams().safety_factor
+
+
+@pytest.mark.parametrize("margin", [5.0, 10.0, "x"])
+def test_safety_factor_inside_params_is_a_usage_error(tmp_path, capsys, margin):
+    path = write_run(tmp_path, {"kind": "bell", "input": "psi_plus", "trials": 2},
+                     params={"safety_factor": margin})
+    assert main(["--config", str(path), "--out", str(tmp_path / "o.json")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "top-level" in err and "safety_factor" in err
+    assert not (tmp_path / "o.json").exists()
 
 
 def test_load_config_overrides(tmp_path):
@@ -273,7 +294,7 @@ def test_compile_empty_circuit(tmp_path):
 def test_rotation_only_circuit_compiles_without_a_sweep_window(tmp_path):
     # tunnel_coupling 1.0 leaves the adiabaticity window empty; rotations
     # need no sweep, so only a gate pulse or a read would be refused
-    assert sweep_rate_window(MoleculeParams(tunnel_coupling=1.0), 10.0).is_empty
+    assert sweep_rate_window(MoleculeParams(tunnel_coupling=1.0)).is_empty
     path = write_run(tmp_path, {"kind": "compile", "circuit": "c.txt"},
                      circuit="H 0\nZ 1 0.5\nXZ 0 1.2 -0.3\n",
                      params={"tunnel_coupling": 1.0})
@@ -450,6 +471,11 @@ def test_bell_table_path_matches_step_by_step_reference(tmp_path, label):
 
 def json_run(tmp_path, case, seed):
     """Config path of one indented-JSON case; the seed draws its inputs."""
+    if case.endswith("_margin5"):
+        # the same input with a top-level sweep margin of 5
+        path = json_run(tmp_path, case.removesuffix("_margin5"), seed)
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), safety_factor=5.0)))
+        return path
     rnd = random.Random(seed)
     if case in ("compile", "simulate", "simulate_bell"):
         # simulate_bell keeps the BELL lines, so scheduled pair reads run
@@ -499,16 +525,21 @@ def json_run(tmp_path, case, seed):
 # sha256 and exit code of the indented-JSON output of each case, as written
 # by json.dumps(payload, sort_keys=True, indent=2) before the direct writer
 # (simulate_bell: by the direct writer, before the scheduled pair read
-# shared measurement's sweep functions)
+# shared measurement's sweep functions; *_margin5: before the sweep margin
+# moved from a run setting into MoleculeParams)
 JSON_GOLDEN = {
     ("compile", 7): (0, "c7ad725eb714526150b4249cf621fb0ace0708405fa0aa898ef8cef92f53720d"),
     ("compile", 1201): (0, "497751752a57dd68cb3caa9c48e6d81a078f6b776338af1eaf5f4f5d07a8a842"),
+    ("compile_margin5", 7): (0, "2819ea75edc40c16dc9d7222811ddddd464447ccd5d874baf2768270aebdc5a8"),
+    ("compile_margin5", 1201): (0, "3e76007ac2641a8bf13a01bf4eb6a0eb36e4c1742930b080910512ecf0b1eac0"),
     ("compile_budget", 7): (3, "f88a7e925e7718ab8bccebb77ebbcec3dbba39fd19c84a558925c9767cea7507"),
     ("compile_budget", 1201): (3, "d24578ab4acfbf6db3c2c0e47af259ab0a65513b96517397589e811b5df5fb7e"),
     ("simulate", 7): (0, "fe4655036e8799ea52fcbb46d04968584e599566e668b4e1bea5534d4a129a4a"),
     ("simulate", 1201): (0, "973f34b6e5bd806fac2bddc7e26613f9c27bc6bfc796d46fbbfdfbf293460fd7"),
     ("simulate_bell", 7): (0, "c31410f68dab160632624af0bf791595130c14946253b5a78de966ff0991dd0e"),
     ("simulate_bell", 1201): (0, "b60a2e6819503a6fe4fe05a9059e573f35aa53bd4ef01d91ad11624d88f97643"),
+    ("simulate_bell_margin5", 7): (0, "5c0de010b34417bcb2f931005ede6e29f1bc00efc0bbb7c089bbe90106f73e73"),
+    ("simulate_bell_margin5", 1201): (0, "41b374fa04a73ea9c9d47d0dc02a401413c54065aecc1a68a7f9965b6f702c3b"),
     ("sweep_epsilon", 7): (0, "bab91f7c48731aab141969b59e1f3b0c29b62951fb10ec63d3864d68feb978ec"),
     ("sweep_epsilon", 1201): (0, "2fc385fb3b47ff05b83dbe29051493ffb34e5b8ab683f2bc7c17b4a6e7300928"),
     ("sweep_distance", 7): (0, "8efdfa3a0aef3f9c192e8328e5438405617729ca191a817526a78b877e03ebe4"),
@@ -580,6 +611,18 @@ def test_sweep_out_of_range_is_a_physics_error(tmp_path):
         error = json.loads(blob)["error"]
         assert error["type"] == "ValueError"
         assert "within" in error["message"]
+
+
+def test_inline_nnn_ratio_sweep_is_a_physics_error(tmp_path):
+    # the next-nearest ratio has a closed form only for stacked dots
+    path = write_run(tmp_path, {"kind": "sweep", "parameter": "inter_molecule_distance",
+                                "observable": "nnn_ratio", "start": 200.0,
+                                "stop": 400.0, "points": 3},
+                     geometry={"topology": {"kind": "line", "n": 3}, "layout": "in_line"})
+    code, blob = run_cli(path, tmp_path / "out.json")
+    assert code == EXIT_PHYSICS
+    error = json.loads(blob)["error"]
+    assert error["type"] == "ValueError" and "perpendicular" in error["message"]
 
 
 def test_sweep_unknown_observable_is_reported(tmp_path):

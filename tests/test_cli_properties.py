@@ -63,7 +63,7 @@ KEY_PATHS = {
     "params": [
         ("params",), ("params", "tunnel_coupling"), ("params", "charging_energy"),
         ("params", "g_factor"), ("params", "nuclear_field"),
-        ("params", "coherence_time"), ("params", "mass")],
+        ("params", "coherence_time"), ("params", "safety_factor"), ("params", "mass")],
     "scenario": [
         ("scenario",), ("scenario", "kind"), ("scenario", "circuit"),
         ("scenario", "input"), ("scenario", "trials"), ("scenario", "parameter"),

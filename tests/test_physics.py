@@ -1,5 +1,6 @@
 """Detuning physics: mixing angle, charge branches, sweep windows, waveforms."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -88,11 +89,9 @@ def test_sweep_window_empty_and_unbounded():
     weak = MoleculeParams(tunnel_coupling=1.0)  # min = 6.58 > max = 0.86
     assert sweep_rate_window(weak).is_empty
     free = MoleculeParams(nuclear_field=0.0)
-    window = sweep_rate_window(free, safety_factor=1.0)
+    window = sweep_rate_window(replace(free, safety_factor=1.0))
     assert math.isinf(window.max_duration)
     assert not window.is_empty
-    with pytest.raises(ValueError):
-        sweep_rate_window(MoleculeParams(), safety_factor=0.5)
 
 
 def test_params_validation():
@@ -107,6 +106,12 @@ def test_params_validation():
     with pytest.raises(ValueError):
         MoleculeParams(coherence_time=0.0)
     assert math.isinf(MoleculeParams(nuclear_field=0.0).nuclear_mixing_time)
+
+
+@pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf, 0.5])
+def test_params_refuse_a_bad_sweep_margin(margin):
+    with pytest.raises(ValueError, match="safety_factor must be finite and >= 1"):
+        MoleculeParams(safety_factor=margin)
 
 
 def test_waveform_construction():
@@ -144,9 +149,10 @@ def test_validate_waveform_flags_slow_sweep(params):
 def test_validate_waveform_in_window_passes(params):
     assert validate_waveform(full_sweep(params, 0.75), params) == []
     # a 1 ns full sweep (the 5 meV/ns flavor) needs the window at safety 5
-    window = sweep_rate_window(params, safety_factor=5.0)
+    params = replace(params, safety_factor=5.0)
+    window = sweep_rate_window(params)
     assert window.min_duration < 1.0 < window.max_duration
-    assert validate_waveform(full_sweep(params, 1.0), params, safety_factor=5.0) == []
+    assert validate_waveform(full_sweep(params, 1.0), params) == []
 
 
 def test_validate_waveform_range_and_endpoint(params):
