@@ -84,8 +84,11 @@ def _flag(value, key: str) -> bool:
 
 
 def _scalar(convert, value, key: str):
-    """convert(value), with a failed conversion reported as a ConfigError."""
+    """convert(value), with a failed conversion reported as a ConfigError.
+    A JSON boolean is not a number, although int(True) succeeds."""
     try:
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a number")
         return convert(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be {convert.__name__}, not {value!r}") from exc
@@ -148,7 +151,8 @@ def _validate_scenario(scenario: dict, base: Path):
     elif kind == "sweep":
         for key in ("start", "stop"):
             value = scenario.get(key)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
+            if (isinstance(value, bool) or not isinstance(value, (int, float))
+                    or not math.isfinite(value)):
                 raise ConfigError(f"sweep scenario needs finite {key!r}")
         if not 2 <= _scalar(int, scenario.get("points", 0), "points") <= SWEEP_POINT_LIMIT:
             raise ConfigError(f"sweep scenario needs 2 <= points <= {SWEEP_POINT_LIMIT}")

@@ -6,6 +6,11 @@ ideal rotations plus the detuning-controlled Ising phase. That phase is
 the closed-form integral of the doubly-occupied weight sin^2(theta) over a
 piecewise-linear detuning waveform. The charge-resolved 3^n oracle it is
 checked against lives with the tests (tests/charge_oracle.py).
+
+The public operations never mutate a state: each copies the amplitudes
+and runs an in-place kernel (rotate_in_place, phase_in_place) on the copy.
+scheduler.simulate_program runs the same kernels on a private buffer that
+it owns and mutates, so there is one kernel set for both.
 """
 from __future__ import annotations
 
@@ -32,8 +37,10 @@ class EncodedRegisterState:
     """2^n amplitudes over the encoded {T, S} basis plus charge bookkeeping.
 
     charge_flags marks, per molecule, whether an active schedule step holds
-    it at the charge-sensitive point ("02") or at idle ("11"). Operations
-    return new states; nothing mutates in place.
+    it at the charge-sensitive point ("02") or at idle ("11"). Public
+    operations return new states and never mutate one in place; only
+    scheduler.simulate_program mutates amplitudes, in its own private
+    buffer.
     """
 
     amplitudes: np.ndarray
@@ -176,25 +183,33 @@ def euler_x_sequence(angle: float) -> tuple[Rotation, Rotation, Rotation]:
 def apply_rotation(state: EncodedRegisterState, molecule: int,
                    rotation: Rotation) -> EncodedRegisterState:
     """Apply a single-molecule rotation. Rejected while charge-displaced."""
-    _check_molecule(state, molecule)
-    if state.charge_flags[molecule] == "02":
-        raise ValueError(f"molecule {molecule} is held at +Ec/2; rotations need (1,1)")
-    u = rotation.matrix()
+    _check_rotatable(state.charge_flags, molecule)
+    amps = state.amplitudes.copy()
+    psi = molecule_view(amps, molecule)
+    scratch = np.empty((2,) + psi[:, 0].shape, dtype=complex)
+    rotate_in_place(psi, rotation.matrix(), scratch)
+    return EncodedRegisterState(amps, state.charge_flags)
+
+
+def rotate_in_place(psi: np.ndarray, u: np.ndarray, scratch: np.ndarray) -> None:
+    """Apply the 2x2 matrix u to axis 1 of a (left, 2, rest) view in place.
+
+    scratch holds two (left, rest) arrays that this overwrites. The terms
+    are t*u00 + s*u01 and t*u10 + s*u11, each product rounded once, so the
+    result does not depend on which molecule the view is taken over.
+    """
     (u00, u01), (u10, u11) = u.tolist()
-    psi = molecule_view(state.amplitudes, molecule)
     t, s = psi[:, 0], psi[:, 1]
-    # One scratch half and out= writes: np.matmul loops over the 2x2 blocks
-    # one at a time, and fresh temporaries per term made the allocator
-    # return and re-fault ~2 MiB a call at n=16.
-    out = np.empty_like(psi)
-    o0, o1 = out[:, 0], out[:, 1]
-    w = np.multiply(s, u01)
-    np.multiply(t, u00, out=o0)
-    o0 += w
-    np.multiply(s, u11, out=w)
-    np.multiply(t, u10, out=o1)
-    o1 += w
-    return EncodedRegisterState(out.reshape(-1), state.charge_flags)
+    w0, w1 = scratch
+    # out= writes into the scratch: np.matmul loops over the 2x2 blocks one
+    # at a time, and fresh temporaries per term made the allocator return
+    # and re-fault ~2 MiB a call at n=16.
+    np.multiply(s, u01, out=w0)
+    np.multiply(t, u10, out=w1)
+    t *= u00
+    t += w0
+    s *= u11
+    np.add(w1, s, out=s)
 
 
 def ising_phase(state: EncodedRegisterState, i: int, j: int, phi: float,
@@ -205,10 +220,15 @@ def ising_phase(state: EncodedRegisterState, i: int, j: int, phi: float,
     adjacent pairs may interact; non-adjacent pairs are a compile error
     upstream and rejected here.
     """
-    _check_pair(state, i, j, adjacency)
+    _check_pair(state.n, i, j, adjacency)
     amps = state.amplitudes.copy()
-    pair_view(amps, i, j)[:, 1, :, 1] *= np.exp(1j * phi)
+    phase_in_place(amps, i, j, phi)
     return EncodedRegisterState(amps, state.charge_flags)
+
+
+def phase_in_place(amps: np.ndarray, i: int, j: int, phi: float) -> None:
+    """Multiply the amplitudes with S on memory axes i and j by e^{i phi}."""
+    pair_view(amps, i, j)[:, 1, :, 1] *= np.exp(1j * phi)
 
 
 def cnot(state: EncodedRegisterState, control: int, target: int,
@@ -220,14 +240,20 @@ def cnot(state: EncodedRegisterState, control: int, target: int,
     return apply_rotation(out, target, h)
 
 
-def _check_molecule(state: EncodedRegisterState, m: int):
-    if not 0 <= m < state.n:
-        raise ValueError(f"molecule index {m} out of range for n={state.n}")
+def _check_molecule(n: int, m: int):
+    if not 0 <= m < n:
+        raise ValueError(f"molecule index {m} out of range for n={n}")
 
 
-def _check_pair(state, i, j, adjacency):
-    _check_molecule(state, i)
-    _check_molecule(state, j)
+def _check_rotatable(flags: tuple[str, ...], m: int):
+    _check_molecule(len(flags), m)
+    if flags[m] == "02":
+        raise ValueError(f"molecule {m} is held at +Ec/2; rotations need (1,1)")
+
+
+def _check_pair(n: int, i: int, j: int, adjacency):
+    _check_molecule(n, i)
+    _check_molecule(n, j)
     if i == j:
         raise ValueError("pair indices must differ")
     if (min(i, j), max(i, j)) not in adjacency:

@@ -20,8 +20,9 @@ from .electrostatics import LayoutGeometry, Topology, pair_coupling
 from .measurement import (READ_DURATION_NS, _measurement_sweep, qpc_read_pair,
                           qpc_read_single, sweep_home, sweep_out)
 from .physics import MoleculeParams, full_sweep, sin_sq_mixing, sweep_rate_window
-from .register import (EncodedRegisterState, Rotation, apply_rotation, ising_phase,
-                       molecule_view, phase_from_waveform, product_state)
+from .register import (EncodedRegisterState, Rotation, _check_pair, _check_rotatable,
+                       molecule_view, pair_view, phase_from_waveform, phase_in_place,
+                       product_state, rotate_in_place)
 
 # Spin-echo extends the usable coherence window a hundredfold.
 ECHO_FACTOR = 100.0
@@ -374,6 +375,66 @@ def _reset_to_singlet(state: EncodedRegisterState, m: int) -> EncodedRegisterSta
     return EncodedRegisterState(out.reshape(-1), state.charge_flags)
 
 
+class _OwnedRegister:
+    """The simulator's private register: one flat amplitude buffer, a spare
+    of the same size, and the memory axis each molecule sits on.
+
+    Rotations and phases update the buffer in place. Molecule m lives on
+    memory axis pos[m] (axis 0 is the most significant digit). A rotation
+    first swaps its molecule with the one on axis 0, where the two halves
+    of the buffer are its T and S slices, contiguous whatever the molecule.
+    Swaps only move data, so every amplitude is computed exactly as the
+    public kernels compute it. Init and reads see the buffer as a state in
+    canonical order, and the fresh state they return becomes the buffer.
+    """
+
+    def __init__(self, state: EncodedRegisterState):
+        self.amps = state.amplitudes      # product_state's fresh array
+        self.spare = np.empty_like(self.amps)
+        self.flags = state.charge_flags
+        self.n = state.n
+        self.canonical = list(range(self.n))
+        self.pos = list(self.canonical)    # memory axis of each molecule
+        self.front = 0                     # the molecule on axis 0
+
+    def rotate(self, m: int, rotation: Rotation):
+        _check_rotatable(self.flags, m)
+        q = self.pos[m]
+        if q:
+            np.copyto(pair_view(self.spare, 0, q),
+                      pair_view(self.amps, 0, q).transpose(0, 3, 2, 1, 4))
+            self.amps, self.spare = self.spare, self.amps
+            self.pos[m], self.pos[self.front] = 0, q
+            self.front = m
+        rotate_in_place(molecule_view(self.amps, 0), rotation.matrix(),
+                        self.spare.reshape(2, 1, -1))
+
+    def phase(self, i: int, j: int, phi: float, adjacency):
+        _check_pair(self.n, i, j, adjacency)
+        phase_in_place(self.amps, self.pos[i], self.pos[j], phi)
+
+    def state(self) -> EncodedRegisterState:
+        """The register in canonical molecule order. Init and reads sum and
+        renormalise in memory order, so they only ever see this order.
+        The spare is dropped until adopt(), so an init or a read holds no
+        more amplitude arrays than it would on its own."""
+        if self.pos != self.canonical:
+            # new axis m is the old axis pos[m]
+            np.copyto(self.spare.reshape((2,) * self.n),
+                      self.amps.reshape((2,) * self.n).transpose(self.pos))
+            self.amps, self.spare = self.spare, self.amps
+            self.pos = list(self.canonical)
+            self.front = 0
+        self.spare = None
+        return EncodedRegisterState(self.amps, self.flags)
+
+    def adopt(self, state: EncodedRegisterState):
+        """Continue from the state an init or a read returned. Its
+        amplitudes are a fresh array, so the old buffer becomes the spare."""
+        self.spare, self.amps = self.amps, state.amplitudes
+        self.flags = state.charge_flags
+
+
 def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
                      params: MoleculeParams,
                      rng: np.random.Generator | None = None
@@ -382,25 +443,28 @@ def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
 
     sweep_pair applies its intended Ising phase; reads sample through the
     QPC model (rng required if the program contains any). Returns the final
-    state and an event record per measurement.
+    state and an event record per measurement. Rotations and phases run in
+    place on a private buffer (_OwnedRegister); the norm is checked at
+    entry, at every init and read, and on the returned state.
     """
-    state = product_state("S" * program.molecule_count)
+    register = _OwnedRegister(product_state("S" * program.molecule_count))
     adjacency = g.topology.adjacency()
     events: list[dict] = []
     for s, step in enumerate(program.steps):
         for action in step.actions:
             if action.kind == "init":
-                state = _reset_to_singlet(state, action.molecules[0])
+                register.adopt(_reset_to_singlet(register.state(), action.molecules[0]))
             elif action.kind == "rotate":
-                state = apply_rotation(state, action.molecules[0], action.rotation)
+                register.rotate(action.molecules[0], action.rotation)
             elif action.kind == "sweep_pair":
                 i, j = action.molecules
-                state = ising_phase(state, i, j, action.phase, adjacency)
+                register.phase(i, j, action.phase, adjacency)
             elif action.kind == "read_single":
                 if rng is None:
                     raise ValueError("program contains reads; rng required")
-                outcome, state = qpc_read_single(state, action.molecules[0], rng,
-                                                 adjacency)
+                outcome, state = qpc_read_single(register.state(), action.molecules[0],
+                                                 rng, adjacency)
+                register.adopt(state)
                 events.append({"step": s, "kind": "read_single",
                                "molecules": list(action.molecules),
                                "outcome": outcome})
@@ -412,13 +476,13 @@ def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
                 if action.ramp > 0.0:
                     sweep_phi = phase_from_waveform(full_sweep(params, action.ramp), g,
                                                     params.tunnel_coupling)
-                reading = qpc_read_pair(sweep_out(state, i, j, sweep_phi, adjacency),
-                                        i, j, rng)
-                state = sweep_home(reading.post_state, i, j, sweep_phi, adjacency)
+                reading = qpc_read_pair(sweep_out(register.state(), i, j, sweep_phi,
+                                                  adjacency), i, j, rng)
+                register.adopt(sweep_home(reading.post_state, i, j, sweep_phi, adjacency))
                 events.append({"step": s, "kind": "read_pair",
                                "molecules": list(action.molecules),
                                "level": reading.level,
                                "current": reading.current})
             else:
                 raise ValueError(f"unknown action kind {action.kind!r}")
-    return state, events
+    return register.state(), events

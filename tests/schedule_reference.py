@@ -9,6 +9,11 @@ neighbours one call at a time. They are copied here unchanged so the
 packing, findings and colours of dotmol.scheduler can be checked against
 them on the same inputs.
 
+`reference_simulate_program` is the simulator as it ran before it owned
+one buffer with a lazily permuted molecule order: every operation goes
+through the public kernels and builds a new state in canonical order.
+The in-place simulator must match its amplitudes bit for bit.
+
 `reference_to_json` and `reference_from_json` are the schedule encoder and
 decoder the package carried as `ScheduleProgram.to_json` and `from_json`
 before the CLI wrote schedules straight from the program. The encoder is
@@ -19,12 +24,17 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import numpy as np
+
 from dotmol.electrostatics import LayoutGeometry, Topology
-from dotmol.measurement import _measurement_sweep
-from dotmol.physics import MoleculeParams
-from dotmol.register import Rotation
+from dotmol.measurement import (_measurement_sweep, qpc_read_pair, qpc_read_single,
+                                sweep_home, sweep_out)
+from dotmol.physics import MoleculeParams, full_sweep
+from dotmol.register import (EncodedRegisterState, Rotation, apply_rotation,
+                             ising_phase, phase_from_waveform, product_state)
 from dotmol.scheduler import (Action, CompileError, RuleViolation, ScheduleProgram,
-                              ScheduleStep, _gate_pulse, _gate_ramp, _lower)
+                              ScheduleStep, _gate_pulse, _gate_ramp, _lower,
+                              _reset_to_singlet)
 
 
 def init_schedule(topology: Topology, params: MoleculeParams | None = None) -> ScheduleProgram:
@@ -161,6 +171,56 @@ def validate_program(program: ScheduleProgram,
                     {m for xy in close for m in xy})),
                     f"step {s}: {text} on adjacent molecules {pairs}"))
     return out
+
+
+def reference_simulate_program(program: ScheduleProgram, g: LayoutGeometry,
+                               params: MoleculeParams,
+                               rng: np.random.Generator | None = None
+                               ) -> tuple[EncodedRegisterState, list[dict]]:
+    """Execute a schedule against the encoded register model.
+
+    sweep_pair applies its intended Ising phase; reads sample through the
+    QPC model (rng required if the program contains any). Returns the final
+    state and an event record per measurement.
+    """
+    state = product_state("S" * program.molecule_count)
+    adjacency = g.topology.adjacency()
+    events: list[dict] = []
+    for s, step in enumerate(program.steps):
+        for action in step.actions:
+            if action.kind == "init":
+                state = _reset_to_singlet(state, action.molecules[0])
+            elif action.kind == "rotate":
+                state = apply_rotation(state, action.molecules[0], action.rotation)
+            elif action.kind == "sweep_pair":
+                i, j = action.molecules
+                state = ising_phase(state, i, j, action.phase, adjacency)
+            elif action.kind == "read_single":
+                if rng is None:
+                    raise ValueError("program contains reads; rng required")
+                outcome, state = qpc_read_single(state, action.molecules[0], rng,
+                                                 adjacency)
+                events.append({"step": s, "kind": "read_single",
+                               "molecules": list(action.molecules),
+                               "outcome": outcome})
+            elif action.kind == "read_pair":
+                if rng is None:
+                    raise ValueError("program contains reads; rng required")
+                i, j = action.molecules
+                sweep_phi = 0.0
+                if action.ramp > 0.0:
+                    sweep_phi = phase_from_waveform(full_sweep(params, action.ramp), g,
+                                                    params.tunnel_coupling)
+                reading = qpc_read_pair(sweep_out(state, i, j, sweep_phi, adjacency),
+                                        i, j, rng)
+                state = sweep_home(reading.post_state, i, j, sweep_phi, adjacency)
+                events.append({"step": s, "kind": "read_pair",
+                               "molecules": list(action.molecules),
+                               "level": reading.level,
+                               "current": reading.current})
+            else:
+                raise ValueError(f"unknown action kind {action.kind!r}")
+    return state, events
 
 
 def reference_to_json(program: ScheduleProgram) -> dict:

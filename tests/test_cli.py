@@ -206,11 +206,25 @@ BELL_SCENARIO = {"kind": "bell", "input": "psi_plus", "trials": 2}
     dict(BASE, scenario={"kind": "sweep", "parameter": "epsilon", "observable": ["h_cc"],
                          "start": 0.0, "stop": 1.0, "points": 2}),
     dict(BASE, scenario=BELL_SCENARIO, params={"tunnel\ncoupling": 1.0}),
+    # JSON booleans are not numbers, although int(True) succeeds
+    dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {"kind": "line", "n": True}}),
+    dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {
+        "kind": "grid", "rows": True, "cols": 2}}),
+    dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {
+        "kind": "grid", "rows": 2, "cols": True}}),
+    dict(BASE, scenario=BELL_SCENARIO, seed=True),
+    dict(BASE, scenario=dict(BELL_SCENARIO, trials=True)),
+    dict(BASE, scenario={"kind": "sweep", "parameter": "epsilon", "observable": "h_cc",
+                         "start": 0.0, "stop": 1.0, "points": True}),
+    dict(BASE, scenario=BELL_SCENARIO, safety_factor=True),
+    dict(BASE, scenario={"kind": "sweep", "parameter": "epsilon", "observable": "h_cc",
+                         "start": False, "stop": 1.0, "points": 3}),
 ], ids=["trials", "seed", "safety_factor", "top_level_array",
         "circuit_number", "circuit_list", "echo_string", "diagonal_string",
         "safety_factor_nan", "n_infinite", "grid_without_rows", "g_factor_string",
         "coherence_time_nan", "permittivity_nan", "observable_list",
-        "params_key_newline"])
+        "params_key_newline", "n_bool", "rows_bool", "cols_bool", "seed_bool",
+        "trials_bool", "points_bool", "safety_factor_bool", "start_bool"])
 def test_malformed_scalars_exit_one_without_traceback(tmp_path, capsys, config):
     path = tmp_path / "r.json"
     path.write_text(json.dumps(config))
@@ -526,7 +540,13 @@ def json_run(tmp_path, case, seed):
 # by json.dumps(payload, sort_keys=True, indent=2) before the direct writer
 # (simulate_bell: by the direct writer, before the scheduled pair read
 # shared measurement's sweep functions; *_margin5: before the sweep margin
-# moved from a run setting into MoleculeParams)
+# moved from a run setting into MoleculeParams).
+# The simulate* hashes (here and in CSV_GOLDEN) were taken with numpy
+# dispatching X86_V3 or X86_V4 kernels. At numpy's X86_V2 baseline
+# (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR") complex
+# products round differently and these eight pins fail on unchanged code.
+# What holds at every level is checked by the simulator reference tests in
+# test_scheduler.py.
 JSON_GOLDEN = {
     ("compile", 7): (0, "c7ad725eb714526150b4249cf621fb0ace0708405fa0aa898ef8cef92f53720d"),
     ("compile", 1201): (0, "497751752a57dd68cb3caa9c48e6d81a078f6b776338af1eaf5f4f5d07a8a842"),

@@ -168,10 +168,11 @@ def test_random_circuits_validate_clean(params):
         assert validate_program(program, topology.adjacency()) == []
 
 
-def reference_topologies(rng, count):
-    """Lines, diagonal grids and edge-only grids of random sizes, in turn."""
+def reference_topologies(rng, count, largest=5):
+    """Lines, diagonal grids and edge-only grids of random sizes, in turn;
+    grids have at most `largest` rows and columns."""
     for k in range(count):
-        rows, cols = (int(x) for x in rng.integers(1, 6, size=2))
+        rows, cols = (int(x) for x in rng.integers(1, largest + 1, size=2))
         yield (Topology.line(int(rng.integers(1, 10))),
                Topology.grid(rows, cols),
                Topology.grid(rows, cols, diagonal=False))[k % 3]
@@ -256,6 +257,52 @@ def test_schedule_writer_matches_reference_on_hand_built_programs(params):
     expected = json.dumps([reference.reference_to_json(p) for p in programs] + [1.5],
                           sort_keys=True, indent=2) + "\n"
     assert _indented_json(programs + [1.5]) == expected.encode()
+
+
+def simulate_scenario_program(gates, g, params):
+    """Initialization, then the compiled circuit, as the simulate scenario runs."""
+    compiled = compile_circuit(gates, g, params)
+    return ScheduleProgram(init_schedule(g.topology, params).steps + compiled.steps,
+                           compiled.molecule_count)
+
+
+def assert_simulates_as_reference(program, g, params, seed):
+    state, events = simulate_program(program, g, params, np.random.default_rng(seed))
+    expected, expected_events = reference.reference_simulate_program(
+        program, g, params, np.random.default_rng(seed))
+    # int64 views compare bits: 0.0 against -0.0 counts as a difference
+    assert np.array_equal(state.amplitudes.view(np.int64),
+                          expected.amplitudes.view(np.int64))
+    assert state.charge_flags == expected.charge_flags
+    assert events == expected_events
+
+
+def test_simulation_matches_step_by_step_reference(params):
+    rng = np.random.default_rng(517)
+    for k, topology in enumerate(reference_topologies(rng, 150, largest=4)):
+        g = LayoutGeometry(topology=topology)
+        gates = random_circuit(rng, topology, length=(10, 80))
+        assert_simulates_as_reference(simulate_scenario_program(gates, g, params),
+                                      g, params, k)
+
+
+def test_simulation_matches_reference_after_many_swaps(params):
+    # every molecule rotated in descending order, twice, so each rotation
+    # moves a molecule forward; CZs between molecules that have both moved;
+    # a read of each kind puts the order back in mid-circuit; then more
+    # rotations move molecules again before the final state
+    g = LayoutGeometry(topology=Topology.grid(3, 4))
+    gates = []
+    for angle in (0.3, -1.1):
+        for m in reversed(range(12)):
+            gates += [Gate("h", (m,)), Gate("xz", (m,), angle=angle, axis_angle=0.2 * m)]
+    gates += [Gate("cz", pair) for pair in ((10, 11), (6, 11), (0, 5), (2, 7), (4, 9))]
+    gates += [Gate("measure", (7,)), Gate("bell", (2, 3))]
+    gates += [Gate("z", (m,), angle=0.1 * m - 0.5) for m in (11, 4, 0, 9)]
+    gates += [Gate("cnot", (9, 5)), Gate("h", (1,))]
+    program = simulate_scenario_program(gates, g, params)
+    for seed in range(4):
+        assert_simulates_as_reference(program, g, params, seed)
 
 
 def scrambled_program(rng, topology, params):
