@@ -29,7 +29,7 @@ from .register import EncodedRegisterState, check_register_size
 from .scheduler import (Action, Gate, ScheduleProgram, ScheduleStep,
                         compile_circuit, init_schedule, simulate_program,
                         time_budget, validate_program)
-from .streams import stream_token, substream
+from .streams import substream, tokens_and_uniforms
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -37,9 +37,9 @@ EXIT_PHYSICS = 2
 EXIT_BUDGET_WARNINGS = 3
 
 # Bell trials and sweep points are held in memory until rendered. Peak RSS
-# grows by ~761 bytes per Bell trial (JSON; CSV ~462) and ~490 bytes per
+# grows by ~557 bytes per Bell trial (JSON; CSV ~428) and ~490 bytes per
 # sweep point (JSON; CSV ~193) over a ~36 MiB interpreter, measured on
-# 10^5 and 2 * 10^5 rows. 10^6 rows then peak near 0.76 GiB (Bell) and
+# 10^5 and 2 * 10^5 rows. 10^6 rows then peak near 0.56 GiB (Bell) and
 # 0.50 GiB (sweep), under a 1 GiB budget.
 BELL_TRIAL_LIMIT = 1_000_000
 SWEEP_POINT_LIMIT = 1_000_000
@@ -108,6 +108,11 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     # the sweep margin is set at the top level and kept in MoleculeParams
     margin = ({"safety_factor": _scalar(float, data["safety_factor"], "safety_factor")}
               if "safety_factor" in data else {})
+    for section in ("params", "geometry"):
+        values = data.get(section)
+        for key, value in (values.items() if isinstance(values, dict) else ()):
+            if isinstance(value, bool) and key not in ("layout", "topology"):
+                raise ConfigError(f"{section} key {key!r} must be a number, not {value!r}")
     try:
         geometry = LayoutGeometry(
             topology=_build_topology(data.get("geometry", {}).get("topology", {})),
@@ -257,21 +262,20 @@ def _run_bell(config: RunConfig) -> tuple[int, dict]:
     trials = int(config.scenario["trials"])
     if config.geometry.topology.size < 2:
         raise ValueError("bell scenario needs at least two molecules")
-    # the protocol up to its two draws is fixed by the input; trials only sample
+    # the protocol up to its two draws is fixed by the input; trials only
+    # sample it, so a row holds its trial, its seed and its leaf's index
     branches = bell_branches(bell_state(label), 0, 1, config.geometry, config.params)
-
-    def one(trial: int) -> dict:
-        outcome = branches.sample(substream(config.seed, "bell", label, trial))
-        return {"trial": trial, "seed": stream_token("bell", label, trial),
-                "input": label, "round1": outcome.round1,
-                "round2": outcome.round2,
-                "classification": outcome.classification,
-                "phi": outcome.phi}
-
-    outcomes = [one(t) for t in range(trials)]
-    payload = {"scenario": "bell", "input": label, "trials": trials,
-               "outcomes": outcomes}
-    return EXIT_OK, payload
+    leaf_index = {key: n for n, key in enumerate(branches.outcomes)}
+    leaves = [{"input": label, "round1": o.round1, "round2": o.round2,
+               "classification": o.classification, "phi": o.phi}
+              for o in branches.outcomes.values()]
+    stream_labels = (("bell", label, t) for t in range(trials))
+    seeds, draws = tokens_and_uniforms(config.seed, stream_labels, 2)
+    sampled = (branches.sample(iter(pair).__next__) for pair in zip(*draws.T.tolist()))
+    outcomes = [(trial, seed, leaf_index[o.round1, o.round2])
+                for trial, seed, o in zip(range(trials), seeds, sampled)]
+    return EXIT_OK, {"scenario": "bell", "input": label, "trials": trials,
+                     "leaves": leaves, "outcomes": outcomes}
 
 
 _EPSILON_OBSERVABLES = {
@@ -474,9 +478,12 @@ def _render(payload: dict, out_format: str) -> bytes:
     if out_format == "json":
         if payload.get("scenario") == "bell":
             # one self-contained JSON record per trial: appending trials
-            # never rewrites earlier lines
-            return ("\n".join(json.dumps(row, sort_keys=True)
-                              for row in payload["outcomes"]) + "\n").encode()
+            # never rewrites earlier lines; seed and trial sort last
+            heads = [json.dumps(leaf, sort_keys=True)[:-1] + ', "seed": '
+                     for leaf in payload["leaves"]]
+            return ("\n".join([f'{heads[leaf]}{seed}, "trial": {trial}}}'
+                               for trial, seed, leaf in payload["outcomes"]])
+                    + "\n").encode()
         return _indented_json(payload)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -487,10 +494,9 @@ def _render(payload: dict, out_format: str) -> bytes:
     elif kind == "bell":
         writer.writerow(["trial", "seed", "input", "round1", "round2",
                          "classification", "phi"])
-        for row in payload["outcomes"]:
-            writer.writerow([row["trial"], row["seed"], row["input"],
-                             row["round1"], row["round2"] or "",
-                             row["classification"], repr(row["phi"])])
+        tails = [[row["input"], row["round1"], row["round2"] or "",
+                  row["classification"], repr(row["phi"])] for row in payload["leaves"]]
+        writer.writerows([trial, seed, *tails[leaf]] for trial, seed, leaf in payload["outcomes"])
     else:  # simulate; RunConfig refuses CSV for compile
         writer.writerow(["index", "re", "im"])
         halves = iter(_flat_amplitudes(payload["final_state"]))

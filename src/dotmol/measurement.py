@@ -10,6 +10,7 @@ sector while Psi- stays put, so a second read tells them apart exactly.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -93,11 +94,11 @@ def decompose_bell(state: EncodedRegisterState) -> BellDecomposition:
 _LIVE = 1e-15
 
 
-def _sample(rng: np.random.Generator, outcomes) -> str:
-    """Draw from (label, probability) pairs; zero-weight branches excluded."""
+def _sample(u: float, outcomes) -> str:
+    """The label uniform u in [0, 1) picks; zero-weight branches excluded."""
     live = [(label, p) for label, p in outcomes if p > _LIVE]
     total = sum(p for _, p in live)
-    u = rng.random() * total
+    u *= total
     acc = 0.0
     for label, p in live:
         acc += p
@@ -131,7 +132,7 @@ def qpc_read_single(state: EncodedRegisterState, molecule: int,
                 raise ValueError(f"molecule {other} adjacent to read target "
                                  f"{molecule} is held at +Ec/2")
     p_t, p_s = molecule_probabilities(state, molecule)
-    outcome = _sample(rng, (("T", p_t), ("S", p_s)))
+    outcome = _sample(rng.random(), (("T", p_t), ("S", p_s)))
     amps = state.amplitudes.copy()
     molecule_view(amps, molecule)[:, 0 if outcome == "S" else 1] = 0.0
     return outcome, _project(state, amps)
@@ -171,7 +172,7 @@ def qpc_read_pair(state: EncodedRegisterState, i: int, j: int,
     """
     if state.charge_flags[i] != "02" or state.charge_flags[j] != "02":
         raise ValueError("pair read needs both molecules swept to +Ec/2")
-    level = _sample(rng, tuple(pair_read_probabilities(state, i, j).items()))
+    level = _sample(rng.random(), tuple(pair_read_probabilities(state, i, j).items()))
     return _pair_reading(state, i, j, level)
 
 
@@ -232,17 +233,17 @@ class BellBranches:
     to the second read's pairs, or to None when that level is not I_mid.
     outcomes maps (round1, round2) to the finished BellOutcome, with
     round2 None after a round-one I_max or I_min. Only the draws are left:
-    sample() spends one uniform per read, in protocol order.
+    sample(draw) calls draw() for one uniform per read, in protocol order.
     """
 
     round1: Outcomes
     round2: dict[str, Outcomes | None]
     outcomes: dict[tuple[str, str | None], BellOutcome]
 
-    def sample(self, rng: np.random.Generator) -> BellOutcome:
-        level1 = _sample(rng, self.round1)
+    def sample(self, draw: Callable[[], float]) -> BellOutcome:
+        level1 = _sample(draw(), self.round1)
         second = self.round2[level1]
-        level2 = None if second is None else _sample(rng, second)
+        level2 = None if second is None else _sample(draw(), second)
         return self.outcomes[level1, level2]
 
 
@@ -301,4 +302,4 @@ def bell_measure(state: EncodedRegisterState, i: int, j: int,
                  rng: np.random.Generator) -> BellOutcome:
     """Two-round QPC Bell measurement on adjacent molecules i, j: one draw
     from bell_branches per read."""
-    return bell_branches(state, i, j, g, params).sample(rng)
+    return bell_branches(state, i, j, g, params).sample(rng.random)

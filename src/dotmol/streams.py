@@ -2,8 +2,11 @@
 
 Every random draw in a run flows from the root seed through a stream named
 by string labels (scenario, trial index, ...). Stream identity depends only
-on the labels, never on creation order or thread timing, so concurrent
-trials reproduce byte-identical results.
+on the root seed and the labels, never on the order in which streams are
+opened, so a trial replays from its labels alone. uniforms() draws from
+many streams in one pass, bit for bit as substream(): numpy's SeedSequence
+mixing (O'Neill's seed_seq) runs on uint32 columns over all streams, then
+PCG64 (XSL-RR output) steps in Python ints.
 """
 from __future__ import annotations
 
@@ -11,10 +14,16 @@ import hashlib
 
 import numpy as np
 
+_MASK32, _MASK64, _MASK128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
+# SeedSequence constants (numpy.random.bit_generator, pool size 4); PCG64's multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
+_MIX_L, _MIX_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
 
 def _digest(labels) -> bytes:
     """sha256 of the '/'-joined label strings."""
-    text = "/".join(str(label) for label in labels)
+    text = "/".join(map(str, labels))
     return hashlib.sha256(text.encode("utf-8")).digest()
 
 
@@ -28,3 +37,57 @@ def substream(root_seed: int, *labels) -> np.random.Generator:
     digest = _digest(labels)
     words = [int.from_bytes(digest[i:i + 4], "big") for i in range(0, 16, 4)]
     return np.random.default_rng(np.random.SeedSequence([int(root_seed) & (2 ** 63 - 1), *words]))
+
+
+def uniforms(root_seed: int, label_tuples, k: int) -> np.ndarray:
+    """(T, k) array over an iterable of T label tuples, read once: row t holds
+    the first k random() draws of substream(root_seed, *label_tuples[t])."""
+    return tokens_and_uniforms(root_seed, label_tuples, k)[1]
+
+
+def tokens_and_uniforms(root_seed: int, label_tuples, k: int) -> tuple[list[int], np.ndarray]:
+    """stream_token(*labels) and uniforms() of each label tuple, one sha256 each."""
+    words = np.frombuffer(b"".join(map(_digest, label_tuples)), ">u4").reshape(-1, 8)
+    tokens = (words[:, 0].astype(np.uint64) << np.uint64(32) | words[:, 1]).tolist()
+    # SeedSequence([root, *words[:4]]) entropy: 0 and any root below 2**32
+    # coerce to one uint32 word, a larger one to two (low word first)
+    root = int(root_seed) & (2 ** 63 - 1)
+    root_words = [root & _MASK32, root >> 32] if root >> 32 else [root]
+    entropy = [np.full(len(words), w, np.uint32) for w in root_words] + list(words[:, :4].T)
+    hash_const = _INIT_A
+
+    def hashmix(value, mult=_MULT_A):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = _MIX_L * x - _MIX_R * y
+        return value ^ (value >> np.uint32(16))
+
+    pool = [hashmix(e) for e in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for e in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(e))
+    # generate_state(4, uint64): eight words cycled from the pool, paired
+    # low word first into the PCG64 seed (s0, s1) and increment (i0, i1)
+    hash_const = _INIT_B
+    state = [hashmix(pool[i % 4], _MULT_B).astype(np.uint64) for i in range(8)]
+    seeds = [(lo | hi << np.uint64(32)).tolist() for lo, hi in zip(state[::2], state[1::2])]
+    out = np.empty((len(words), k))
+    for row, (s0, s1, i0, i1) in enumerate(zip(*seeds)):
+        # PCG64 srandom: state 0, step, add the seed, step; then k outputs
+        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
+        s = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+        for col in range(k):
+            s = (s * _PCG_MULT + inc) & _MASK128
+            x, rot = ((s >> 64) ^ s) & _MASK64, s >> 122
+            x = (x >> rot | x << (64 - rot)) & _MASK64
+            out[row, col] = (x >> 11) * 2.0 ** -53
+    return tokens, out

@@ -219,12 +219,19 @@ BELL_SCENARIO = {"kind": "bell", "input": "psi_plus", "trials": 2}
     dict(BASE, scenario=BELL_SCENARIO, safety_factor=True),
     dict(BASE, scenario={"kind": "sweep", "parameter": "epsilon", "observable": "h_cc",
                          "start": False, "stop": 1.0, "points": 3}),
+    # true would load as 1.0, a valid value for each of these keys
+    dict(BASE, scenario=BELL_SCENARIO, params={"coherence_time": True}),
+    dict(BASE, scenario=BELL_SCENARIO, params={"tunnel_coupling": True}),
+    dict(BASE, scenario=BELL_SCENARIO, geometry={"relative_permittivity": True}),
+    dict(BASE, scenario=BELL_SCENARIO, geometry={"intra_dot_distance": True}),
 ], ids=["trials", "seed", "safety_factor", "top_level_array",
         "circuit_number", "circuit_list", "echo_string", "diagonal_string",
         "safety_factor_nan", "n_infinite", "grid_without_rows", "g_factor_string",
         "coherence_time_nan", "permittivity_nan", "observable_list",
         "params_key_newline", "n_bool", "rows_bool", "cols_bool", "seed_bool",
-        "trials_bool", "points_bool", "safety_factor_bool", "start_bool"])
+        "trials_bool", "points_bool", "safety_factor_bool", "start_bool",
+        "coherence_time_bool", "tunnel_coupling_bool", "permittivity_bool",
+        "intra_dot_distance_bool"])
 def test_malformed_scalars_exit_one_without_traceback(tmp_path, capsys, config):
     path = tmp_path / "r.json"
     path.write_text(json.dumps(config))

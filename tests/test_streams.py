@@ -1,5 +1,10 @@
 """Named random sub-streams: values are pinned so a refactor cannot move them."""
-from dotmol.streams import stream_token, substream
+import random
+
+import numpy as np
+import pytest
+
+from dotmol.streams import stream_token, substream, tokens_and_uniforms, uniforms
 
 
 def test_stream_token_values_are_pinned():
@@ -11,3 +16,43 @@ def test_substream_values_are_pinned():
     assert substream(7, "bell", "psi_plus", 0).random() == 0.2299360810818375
     # the root seed is masked to 63 bits
     assert substream(2 ** 70, "x").random() == 0.571433285391555
+
+
+def test_uniforms_values_are_pinned():
+    assert uniforms(2 ** 40 + 5, [("bell", "psi_minus", 999)], 3).tolist() == [
+        [0.5055964373049785, 0.24184546823314512, 0.7444325607549324]]
+
+
+# one-word roots (0 included), two-word roots, and roots the 63-bit mask
+# folds: 2**70 to 0 and -1 to 2**63 - 1
+ROOTS = [0, 1, 7, 123456789, 2 ** 32 - 1, 2 ** 32, 2 ** 40 + 5, 2 ** 63 - 1, 2 ** 70, -1]
+
+
+def random_labels(rnd):
+    """A label tuple of 0-4 strings and ints, negative ints included."""
+    pick = [lambda: rnd.randrange(-10, 10 ** 9), lambda: rnd.choice(["bell", "psi_plus", ""]),
+            lambda: "s%d" % rnd.randrange(1000)]
+    return tuple(rnd.choice(pick)() for _ in range(rnd.randrange(5)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_uniforms_match_substream_draws(k):
+    rnd = random.Random(k)
+    # 3,600 keys for each k, 10,800 over the three k
+    keys = [(root, [random_labels(rnd) for _ in range(340)]) for root in ROOTS]
+    keys.append((rnd.randrange(2 ** 64), [random_labels(rnd) for _ in range(100)]))
+    keys += [(rnd.randrange(-2 ** 80, 2 ** 80), [random_labels(rnd)]) for _ in range(100)]
+    assert sum(len(labels) for _, labels in keys) == 3600
+    for root, labels in keys:
+        tokens, got = tokens_and_uniforms(root, labels, k)
+        assert got.shape == (len(labels), k) and got.dtype == np.float64
+        assert np.array_equal(uniforms(root, labels, k), got)
+        assert tokens == [stream_token(*label) for label in labels]
+        for row, label in zip(got.tolist(), labels):
+            rng = substream(root, *label)
+            assert row == [rng.random() for _ in range(k)], (root, label)
+
+
+def test_uniforms_of_no_labels_are_empty():
+    assert uniforms(7, [], 2).shape == (0, 2)
+    assert tokens_and_uniforms(2 ** 40, [], 1)[0] == []
