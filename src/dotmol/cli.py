@@ -65,7 +65,8 @@ class RunConfig:
             raise ConfigError("scenario 'compile' has no CSV rendering; use json")
 
 
-def _build_topology(data: dict) -> Topology:
+def _build_topology(data) -> Topology:
+    _check_object(data, "topology")
     kind = data.get("kind", "line")
     if kind == "line":
         return Topology.line(_scalar(int, data.get("n", 2), "n"))
@@ -85,13 +86,23 @@ def _flag(value, key: str) -> bool:
 
 def _scalar(convert, value, key: str):
     """convert(value), with a failed conversion reported as a ConfigError.
-    A JSON boolean is not a number, although int(True) succeeds."""
+    A JSON boolean is not a number, although int(True) succeeds, and an
+    int key refuses what int() would change: 2.5, or the string "3"."""
     try:
         if isinstance(value, bool):
             raise TypeError("a boolean is not a number")
-        return convert(value)
+        converted = convert(value)
+        if convert is int and converted != value:
+            raise ValueError("int() would change it")
+        return converted
     except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{key} must be {convert.__name__}, not {value!r}") from exc
+
+
+def _check_object(value, section: str):
+    """A config section must be a JSON object."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{section} must be a JSON object, not {type(value).__name__}")
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
@@ -108,18 +119,18 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     # the sweep margin is set at the top level and kept in MoleculeParams
     margin = ({"safety_factor": _scalar(float, data["safety_factor"], "safety_factor")}
               if "safety_factor" in data else {})
-    for section in ("params", "geometry"):
-        values = data.get(section)
-        for key, value in (values.items() if isinstance(values, dict) else ()):
+    geometry, params = data.get("geometry", {}), data.get("params", {})
+    for section, values in (("params", params), ("geometry", geometry)):
+        _check_object(values, section)
+        for key, value in values.items():
             if isinstance(value, bool) and key not in ("layout", "topology"):
                 raise ConfigError(f"{section} key {key!r} must be a number, not {value!r}")
+    if "safety_factor" in params:
+        raise ConfigError("safety_factor is a top-level key, not a params key")
     try:
         geometry = LayoutGeometry(
-            topology=_build_topology(data.get("geometry", {}).get("topology", {})),
-            **{k: v for k, v in data.get("geometry", {}).items() if k != "topology"})
-        params = data.get("params", {})
-        if isinstance(params, dict) and "safety_factor" in params:
-            raise ConfigError("safety_factor is a top-level key, not a params key")
+            topology=_build_topology(geometry.get("topology", {})),
+            **{k: v for k, v in geometry.items() if k != "topology"})
         params = MoleculeParams(**params, **margin)
     except (AttributeError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad geometry or params: {exc}") from exc
@@ -169,42 +180,53 @@ def parse_circuit(text: str) -> list[Gate]:
     """Parse circuit text: one gate per line, '#' comments.
 
     H i | Z i phi | XZ i axis phi | CNOT i j | CZ i j | MEASURE i | BELL i j
+
+    Each distinct line text is parsed once per call; its later copies
+    append the same Gate object. The memo is keyed by text, not by Gate
+    equality, under which Z 0 0.0 and Z 0 -0.0 would be one gate.
     """
     gates: list[Gate] = []
+    parsed: dict[str, Gate] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        tokens = line.split()
-        op, args = tokens[0].upper(), tokens[1:]
-
-        def qubits(width, arity, usage):
-            """The first width of exactly arity arguments, as qubit indices."""
-            if len(args) != arity:
-                raise ConfigError(f"line {lineno}: {op} takes {usage}")
-            try:
-                return tuple([int(a) for a in args[:width]])
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad index in {line!r}") from exc
-
-        try:
-            if op == "H":
-                gates.append(Gate("h", qubits(1, 1, "1 argument(s)")))
-            elif op == "Z":
-                gates.append(Gate("z", qubits(1, 2, "qubit and angle"),
-                                  angle=float(args[1])))
-            elif op == "XZ":
-                gates.append(Gate("xz", qubits(1, 3, "qubit, axis, angle"),
-                                  axis_angle=float(args[1]), angle=float(args[2])))
-            elif op in ("CNOT", "CZ", "BELL"):
-                gates.append(Gate(op.lower(), qubits(2, 2, "2 argument(s)")))
-            elif op == "MEASURE":
-                gates.append(Gate("measure", qubits(1, 1, "1 argument(s)")))
-            else:
-                raise ConfigError(f"line {lineno}: unknown gate {op!r}")
-        except ValueError as exc:
-            raise ConfigError(f"line {lineno}: {exc}") from exc
+        gate = parsed.get(line)
+        if gate is None:
+            gate = parsed[line] = _parse_line(line, lineno)
+        gates.append(gate)
     return gates
+
+
+def _parse_line(line: str, lineno: int) -> Gate:
+    """The gate of one stripped, non-empty circuit line."""
+    tokens = line.split()
+    op, args = tokens[0].upper(), tokens[1:]
+
+    def qubits(width, arity, usage):
+        """The first width of exactly arity arguments, as qubit indices."""
+        if len(args) != arity:
+            raise ConfigError(f"line {lineno}: {op} takes {usage}")
+        try:
+            return tuple([int(a) for a in args[:width]])
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad index in {line!r}") from exc
+
+    try:
+        if op == "H":
+            return Gate("h", qubits(1, 1, "1 argument(s)"))
+        if op == "Z":
+            return Gate("z", qubits(1, 2, "qubit and angle"), angle=float(args[1]))
+        if op == "XZ":
+            return Gate("xz", qubits(1, 3, "qubit, axis, angle"),
+                        axis_angle=float(args[1]), angle=float(args[2]))
+        if op in ("CNOT", "CZ", "BELL"):
+            return Gate(op.lower(), qubits(2, 2, "2 argument(s)"))
+        if op == "MEASURE":
+            return Gate("measure", qubits(1, 1, "1 argument(s)"))
+    except ValueError as exc:
+        raise ConfigError(f"line {lineno}: {exc}") from exc
+    raise ConfigError(f"line {lineno}: unknown gate {op!r}")
 
 
 # --- scenario execution ---
@@ -344,16 +366,17 @@ def _json_scalar(value) -> str:
 
 
 # values _json_chunks writes as JSON arrays or objects
-_JSON_COMPOUND = (dict, list, tuple, Action, ScheduleStep, ScheduleProgram,
+_JSON_COMPOUND = (dict, list, tuple, ScheduleStep, ScheduleProgram,
                   EncodedRegisterState)
 
 
-def _json_chunks(value, lead: str, pad: str, out: list[str]) -> None:
+def _json_chunks(value, lead: str, pad: str, out: list[str], texts: dict) -> None:
     """Append value to out as json.dumps(value, sort_keys=True, indent=2)
     writes it, nested at indent pad, with lead (the separator before it).
     Schedules are written as their schedule JSON and register states as
     register.state_json pairs, straight from the objects. Keys must be
-    str; any other key or value type is a TypeError."""
+    str; any other key or value type is a TypeError. texts is the
+    render's memo of action texts (_action_text)."""
     if not isinstance(value, _JSON_COMPOUND):
         out.append(lead + _json_scalar(value))
     elif isinstance(value, dict):
@@ -362,7 +385,7 @@ def _json_chunks(value, lead: str, pad: str, out: list[str]) -> None:
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             members.append((key, value[key]))
-        _members_chunks(members, lead, pad, out)
+        _members_chunks(members, lead, pad, out, texts)
     elif isinstance(value, (list, tuple)):
         if not value:
             out.append(lead + "[]")
@@ -370,22 +393,32 @@ def _json_chunks(value, lead: str, pad: str, out: list[str]) -> None:
         inner = pad + "  "
         lead += "[\n" + inner
         for item in value:
-            _json_chunks(item, lead, inner, out)
+            _json_chunks(item, lead, inner, out, texts)
             lead = ",\n" + inner
         out.append("\n" + pad + "]")
-    elif isinstance(value, Action):
-        out.append(lead + _action_text(value, pad))
     elif isinstance(value, ScheduleStep):
-        _members_chunks((("actions", value.actions), ("duration_ns", value.duration)),
-                        lead, pad, out)
+        # {"actions": [...], "duration_ns": d}, each action text appended as
+        # its own chunk, so repeats share the memo's string
+        inner = pad + "  "
+        if value.actions:
+            apad = inner + "  "
+            sep = ",\n" + apad
+            lead += "{\n" + inner + '"actions": [\n' + apad
+            for a in value.actions:
+                out += (lead, _action_text(a, apad, texts))
+                lead = sep
+            lead = "\n" + inner + "],\n" + inner
+        else:
+            lead += "{\n" + inner + '"actions": [],\n' + inner
+        out.append(lead + '"duration_ns": ' + _json_scalar(value.duration) + "\n" + pad + "}")
     elif isinstance(value, ScheduleProgram):
         _members_chunks((("molecule_count", value.molecule_count),
-                         ("steps", value.steps)), lead, pad, out)
+                         ("steps", value.steps)), lead, pad, out, texts)
     else:
         out.append(lead + _state_text(value, pad))
 
 
-def _members_chunks(members, lead: str, pad: str, out: list[str]) -> None:
+def _members_chunks(members, lead: str, pad: str, out: list[str], texts: dict) -> None:
     """A JSON object of (key, value) members given in sorted key order."""
     if not members:
         out.append(lead + "{}")
@@ -393,15 +426,25 @@ def _members_chunks(members, lead: str, pad: str, out: list[str]) -> None:
     inner = pad + "  "
     lead += "{\n" + inner
     for key, value in members:
-        _json_chunks(value, lead + encode_basestring_ascii(key) + ": ", inner, out)
+        _json_chunks(value, lead + encode_basestring_ascii(key) + ": ", inner, out, texts)
         lead = ",\n" + inner
     out.append("\n" + pad + "}")
 
 
-def _action_text(a: Action, pad: str) -> str:
+def _action_text(a: Action, pad: str, texts: dict) -> str:
     """One action's JSON at indent pad. hold_ns, ramp_ns and
     read_duration_ns appear only when nonzero, phase when set and
-    rotation when present."""
+    rotation when present.
+
+    A compiled program repeats the same Action objects, so texts, which
+    lives for one render, keeps each text by (id(a), pad). The payload
+    holds every action until the render ends, so no id is reused. Keys
+    are identities, not Action equality, under which an action with a
+    -0.0 field would be written as its 0.0 twin."""
+    key = (id(a), pad)
+    text = texts.get(key)
+    if text is not None:
+        return text
     values = [a.duration]
     if a.hold:
         values.append(a.hold)
@@ -422,7 +465,8 @@ def _action_text(a: Action, pad: str) -> str:
     # not tuple(map(...)): that takes a 10-slot tuple and shrinks it, so
     # thousands of freed tuples pile up on a free list inside the chunks'
     # memory and keep it from going back to the OS before the encode
-    return template % tuple([_json_scalar(v) for v in values])
+    text = texts[key] = template % tuple([_json_scalar(v) for v in values])
+    return text
 
 
 @lru_cache(maxsize=256)
@@ -467,7 +511,7 @@ def _indented_json(payload) -> bytes:
     """json.dumps(payload, sort_keys=True, indent=2) plus a newline, as bytes,
     without the pure-Python encoder that indent switches json to."""
     out: list[str] = []
-    _json_chunks(payload, "", "", out)
+    _json_chunks(payload, "", "", out, {})
     out.append("\n")
     text = "".join(out)
     out.clear()  # free the chunks before the bytes copy

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -157,10 +157,17 @@ def _lower(gates, g: LayoutGeometry, params: MoleculeParams) -> list[Action]:
     """Expand circuit gates into primitive actions with their durations.
 
     The gate pulse and the measurement sweep are sized on first use, so a
-    circuit of rotations alone needs no adiabaticity window.
+    circuit of rotations alone needs no adiabaticity window. Within one
+    call, each distinct Gate object is lowered once and its repeats extend
+    out with the same Action objects; the memo is keyed by id() and holds
+    each gate, so that no id is reused while the call runs. Keys are never
+    Gate equality, under which Z 0 0.0 and Z 0 -0.0 are one gate. Actions
+    without an angle (Hadamard, pulse, read) are also built once per kind
+    and molecules.
     """
     hadamard = Rotation.hadamard()
     out: list[Action] = []
+    lowered: dict[int, tuple[Gate, list[Action]]] = {}
 
     @cache
     def pulse() -> dict:
@@ -175,32 +182,43 @@ def _lower(gates, g: LayoutGeometry, params: MoleculeParams) -> list[Action]:
         return dict(duration=2.0 * ramp + READ_DURATION_NS, ramp=ramp,
                     read_duration=READ_DURATION_NS)
 
-    def rotate(m, rot):
-        out.append(Action("rotate", (m,), duration=rot.duration, rotation=rot))
+    @lru_cache(maxsize=None, typed=True)
+    def shared(kind: str, *molecules) -> Action:
+        """The one angle-free action of kind on molecules: a Hadamard
+        rotate, a sweep_pair or a read. typed keeps 1 apart from True
+        and from np.int64(1)."""
+        if kind == "rotate":
+            return Action(kind, molecules, duration=hadamard.duration,
+                          rotation=hadamard)
+        if kind == "sweep_pair":
+            return Action(kind, molecules, phase=math.pi, **pulse())
+        return Action(kind, molecules, **read())
 
     for gate in gates:
+        done = lowered.get(id(gate))
+        if done is not None:
+            out += done[1]
+            continue
+        start = len(out)
         if gate.kind == "h":
-            rotate(gate.qubits[0], hadamard)
-        elif gate.kind == "z":
-            rotate(gate.qubits[0], Rotation.z(gate.angle))
-        elif gate.kind == "xz":
-            rotate(gate.qubits[0], Rotation.xz(gate.axis_angle, gate.angle))
-        elif gate.kind in ("cz", "cnot"):
-            control, target = gate.qubits
-            if gate.kind == "cnot":
-                rotate(target, hadamard)
-            out.append(Action("sweep_pair", (control, target), phase=math.pi,
-                              **pulse()))
-            if gate.kind == "cnot":
-                rotate(target, hadamard)
+            out.append(shared("rotate", *gate.qubits))
+        elif gate.kind in ("z", "xz"):
+            rot = (Rotation.z(gate.angle) if gate.kind == "z"
+                   else Rotation.xz(gate.axis_angle, gate.angle))
+            out.append(Action("rotate", (gate.qubits[0],), duration=rot.duration,
+                              rotation=rot))
+        elif gate.kind == "cz":
+            out.append(shared("sweep_pair", *gate.qubits))
+        elif gate.kind == "cnot":
+            target = shared("rotate", gate.qubits[1])
+            out += (target, shared("sweep_pair", *gate.qubits), target)
         elif gate.kind == "measure":
-            out.append(Action("read_single", gate.qubits, **read()))
+            out.append(shared("read_single", *gate.qubits))
         elif gate.kind == "bell":
             i, j = gate.qubits
-            out.append(Action("read_pair", (i, j), **read()))
-            rotate(i, hadamard)
-            rotate(j, hadamard)
-            out.append(Action("read_pair", (i, j), **read()))
+            read_ij = shared("read_pair", i, j)
+            out += (read_ij, shared("rotate", i), shared("rotate", j), read_ij)
+        lowered[id(gate)] = (gate, out[start:])
     return out
 
 

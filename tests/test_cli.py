@@ -6,15 +6,16 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from bell_reference import reference_bell
-from schedule_reference import reference_from_json
+from schedule_reference import reference_from_json, reference_to_json
 
 import dotmol
 from dotmol import (BELL_LABELS, MoleculeParams, Topology, bell_state,
-                    substream, sweep_rate_window, validate_program)
+                    compile_circuit, substream, sweep_rate_window, validate_program)
 from dotmol.cli import (BELL_TRIAL_LIMIT, EXIT_BUDGET_WARNINGS, EXIT_OK,
                         EXIT_PHYSICS, EXIT_USAGE, SWEEP_POINT_LIMIT,
                         ConfigError, load_config, main, parse_circuit, run)
@@ -224,6 +225,17 @@ BELL_SCENARIO = {"kind": "bell", "input": "psi_plus", "trials": 2}
     dict(BASE, scenario=BELL_SCENARIO, params={"tunnel_coupling": True}),
     dict(BASE, scenario=BELL_SCENARIO, geometry={"relative_permittivity": True}),
     dict(BASE, scenario=BELL_SCENARIO, geometry={"intra_dot_distance": True}),
+    # int keys refuse what int() would change; 2 and 2.0 still load
+    dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {"kind": "line", "n": 2.7}}),
+    dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {
+        "kind": "grid", "rows": 1.5, "cols": 2}}),
+    dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {
+        "kind": "grid", "rows": 1, "cols": 2.5}}),
+    dict(BASE, scenario=BELL_SCENARIO, seed=1.5),
+    dict(BASE, scenario=BELL_SCENARIO, seed="3"),
+    dict(BASE, scenario=dict(BELL_SCENARIO, trials=2.9)),
+    dict(BASE, scenario={"kind": "sweep", "parameter": "epsilon", "observable": "h_cc",
+                         "start": 0.0, "stop": 1.0, "points": 2.5}),
 ], ids=["trials", "seed", "safety_factor", "top_level_array",
         "circuit_number", "circuit_list", "echo_string", "diagonal_string",
         "safety_factor_nan", "n_infinite", "grid_without_rows", "g_factor_string",
@@ -231,7 +243,8 @@ BELL_SCENARIO = {"kind": "bell", "input": "psi_plus", "trials": 2}
         "params_key_newline", "n_bool", "rows_bool", "cols_bool", "seed_bool",
         "trials_bool", "points_bool", "safety_factor_bool", "start_bool",
         "coherence_time_bool", "tunnel_coupling_bool", "permittivity_bool",
-        "intra_dot_distance_bool"])
+        "intra_dot_distance_bool", "n_fraction", "rows_fraction", "cols_fraction",
+        "seed_fraction", "seed_string", "trials_fraction", "points_fraction"])
 def test_malformed_scalars_exit_one_without_traceback(tmp_path, capsys, config):
     path = tmp_path / "r.json"
     path.write_text(json.dumps(config))
@@ -239,6 +252,28 @@ def test_malformed_scalars_exit_one_without_traceback(tmp_path, capsys, config):
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_integral_floats_load_as_int_keys(tmp_path):
+    path = write_run(tmp_path, dict(BELL_SCENARIO, trials=3.0), seed=5.0,
+                     geometry={"topology": {"kind": "grid", "rows": 1.0, "cols": 2.0}})
+    config = load_config(path)
+    assert config.seed == 5 and config.geometry.topology.size == 2
+    code, blob = run_cli(path, tmp_path / "o.json")
+    assert code == EXIT_OK and len(blob.splitlines()) == 3
+
+
+@pytest.mark.parametrize("config,message", [
+    (dict(BASE, geometry=[]), "geometry must be a JSON object, not list"),
+    (dict(BASE, geometry={"topology": [1]}), "topology must be a JSON object, not list"),
+    (dict(BASE, params=[]), "params must be a JSON object, not list"),
+    (dict(BASE, params=None), "params must be a JSON object, not NoneType"),
+], ids=["geometry_list", "topology_list", "params_list", "params_null"])
+def test_non_object_sections_are_named(tmp_path, capsys, config, message):
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(dict(config, scenario=BELL_SCENARIO)))
+    assert main(["--config", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("blob", [b'{"seed": "\xff"}', b"[" * 100_000],
@@ -326,6 +361,77 @@ def test_rotation_only_circuit_compiles_without_a_sweep_window(tmp_path):
     (tmp_path / "c.txt").write_text("H 0\nMEASURE 1\n")
     code, blob = run_cli(path, tmp_path / "out2.json")
     assert code == EXIT_PHYSICS
+
+
+# every gate kind repeated, with two spellings of the zero angle and of
+# one nonzero angle: a memo keyed by Gate or Action equality would write
+# Z 0 -0.0 as its 0.0 twin
+REPEATED_CIRCUIT = """H 0
+CZ 0 1
+Z 0 0.0
+Z 0 -0.0
+Z 1 0.5
+Z 1 0.50
+CNOT 1 2
+MEASURE 2
+BELL 0 1
+H 0
+CZ 0 1  # a comment does not make the line new
+CNOT 1 2
+Z 0 -0.0
+Z 0 0.0
+MEASURE 2
+BELL 0 1
+H 2
+Z 1 0.50
+"""
+
+
+def test_repeated_lines_are_written_as_the_reference_encoder_writes(tmp_path):
+    path = write_run(tmp_path, {"kind": "compile", "circuit": "c.txt"},
+                     circuit=REPEATED_CIRCUIT, params={"coherence_time": 1e6},
+                     geometry={"topology": {"kind": "line", "n": 3}})
+    code, blob = run_cli(path, tmp_path / "out.json")
+    assert code == EXIT_OK
+    config = load_config(path)
+    # the same gates as distinct objects, so no lowering is shared
+    gates = [replace(gate) for gate in parse_circuit(REPEATED_CIRCUIT)]
+    program = compile_circuit(gates, config.geometry, config.params)
+    payload = json.loads(blob)
+    payload["schedule"] = reference_to_json(program)
+    assert blob == (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode()
+    angles = [a["rotation"]["angle"] for step in payload["schedule"]["steps"]
+              for a in step["actions"] if a["molecules"] == [0]
+              and a["rotation"]["kind"] == "uz"]
+    assert [math.copysign(1.0, x) for x in angles] == [1.0, -1.0, -1.0, 1.0]
+    assert b'"angle": -0.0' in blob and b'"angle": 0.0' in blob
+
+
+def test_repeated_bad_line_reports_its_first_line():
+    with pytest.raises(ConfigError, match="^line 2: "):
+        parse_circuit("H 0\nCZ 0 0\nH 1\nCZ 0 0\n")
+    with pytest.raises(ConfigError, match="^line 3: unknown gate"):
+        parse_circuit("H 0\nH 0\nFOO 1\nFOO 1\n")
+
+
+def test_no_state_survives_a_run(tmp_path):
+    # the two circuits share lines, and the margin changes every sweep,
+    # so anything kept from A would change B's bytes
+    a = write_run(tmp_path, {"kind": "compile", "circuit": "a.txt"},
+                  circuit=REPEATED_CIRCUIT, name="a.json",
+                  geometry={"topology": {"kind": "line", "n": 3}})
+    b = write_run(tmp_path, {"kind": "compile", "circuit": "b.txt"},
+                  circuit="".join(reversed(REPEATED_CIRCUIT.splitlines(True))),
+                  name="b.json", safety_factor=5.0,
+                  geometry={"topology": {"kind": "line", "n": 3}})
+    assert run_cli(a, tmp_path / "a.out")[0] in (EXIT_OK, EXIT_BUDGET_WARNINGS)
+    code, blob = run_cli(b, tmp_path / "b.out")
+    src = str(Path(dotmol.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    fresh = subprocess.run([sys.executable, "-m", "dotmol.cli", "--config", str(b)],
+                           env=env, capture_output=True, check=False)
+    assert (code, blob) == (fresh.returncode, fresh.stdout)
 
 
 def test_compile_budget_warnings_exit_three(tmp_path):

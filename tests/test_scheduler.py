@@ -259,6 +259,18 @@ def test_schedule_writer_matches_reference_on_hand_built_programs(params):
     assert _indented_json(programs + [1.5]) == expected.encode()
 
 
+def test_repeated_gate_object_compiles_like_distinct_copies(line3, params):
+    gates = [Gate("cnot", (0, 1)), Gate("z", (2,), angle=-0.0), Gate("bell", (1, 2)),
+             Gate("measure", (0,)), Gate("h", (2,)), Gate("cz", (1, 2)),
+             Gate("xz", (1,), axis_angle=0.3, angle=-0.0), Gate("z", (2,), angle=0.0)]
+    shared = gates * 3
+    distinct = [replace(gate) for gate in shared]
+    program = compile_circuit(shared, line3, params)
+    assert program == compile_circuit(distinct, line3, params)
+    assert program == reference.compile_circuit(distinct, line3, params)
+    assert_written_as_reference(program)
+
+
 def simulate_scenario_program(gates, g, params):
     """Initialization, then the compiled circuit, as the simulate scenario runs."""
     compiled = compile_circuit(gates, g, params)
