@@ -16,19 +16,16 @@ from .electrostatics import (LayoutGeometry, PairCoupling, Topology,
                              nnn_coupling_ratio, pair_coupling,
                              sites_pair_energy)
 from .measurement import (BELL_LABELS, QPC_CURRENTS, BellBranches,
-                          BellDecomposition, BellOutcome, QpcReading,
-                          bell_branches, bell_measure, bell_state,
-                          decompose_bell, pair_read_probabilities,
-                          qpc_read_pair, qpc_read_single)
+                          BellOutcome, QpcReading, bell_branches, bell_state,
+                          pair_read_probabilities, qpc_read_pair,
+                          qpc_read_single)
 from .physics import (DetuningWaveform, MoleculeParams, SweepWindow,
                       WaveformViolation, adiabatic_angle,
-                      charge_branch_energies, charge_hamiltonian, full_sweep,
-                      hold_at, hybridized_states, sin_sq_mixing, square_pulse,
+                      charge_branch_energies, full_sweep, sin_sq_mixing,
                       sweep_rate_window, validate_waveform)
-from .register import (EncodedRegisterState, Rotation, align_global_phase,
-                       apply_rotation, cnot, euler_x_sequence, ising_phase,
-                       molecule_probabilities, phase_from_waveform,
-                       product_state, state_json, states_equal)
+from .register import (EncodedRegisterState, Rotation, apply_rotation,
+                       ising_phase, molecule_probabilities,
+                       phase_from_waveform, product_state)
 from .scheduler import (ECHO_FACTOR, READ_LIMIT_MESSAGE, Action,
                         BudgetReport, BudgetViolation, CompileError, Gate,
                         RuleViolation, ScheduleProgram, ScheduleStep,
@@ -44,19 +41,14 @@ __all__ = [
     "doubly_occupied_interaction", "h_cc", "inline_crosstalk",
     "inline_interaction", "nnn_coupling_ratio", "pair_coupling",
     "sites_pair_energy",
-    "BELL_LABELS", "QPC_CURRENTS", "BellBranches", "BellDecomposition",
-    "BellOutcome", "QpcReading", "bell_branches",
-    "bell_measure", "bell_state",
-    "decompose_bell", "pair_read_probabilities", "qpc_read_pair",
-    "qpc_read_single",
+    "BELL_LABELS", "QPC_CURRENTS", "BellBranches", "BellOutcome",
+    "QpcReading", "bell_branches", "bell_state", "pair_read_probabilities",
+    "qpc_read_pair", "qpc_read_single",
     "DetuningWaveform", "MoleculeParams", "SweepWindow", "WaveformViolation",
-    "adiabatic_angle", "charge_branch_energies", "charge_hamiltonian",
-    "full_sweep", "hold_at", "hybridized_states", "sin_sq_mixing",
-    "square_pulse", "sweep_rate_window", "validate_waveform",
-    "EncodedRegisterState", "Rotation", "align_global_phase",
-    "apply_rotation", "cnot", "euler_x_sequence", "ising_phase",
+    "adiabatic_angle", "charge_branch_energies", "full_sweep",
+    "sin_sq_mixing", "sweep_rate_window", "validate_waveform",
+    "EncodedRegisterState", "Rotation", "apply_rotation", "ising_phase",
     "molecule_probabilities", "phase_from_waveform", "product_state",
-    "state_json", "states_equal",
     "ECHO_FACTOR", "READ_LIMIT_MESSAGE", "Action", "BudgetReport",
     "BudgetViolation", "CompileError", "Gate", "RuleViolation",
     "ScheduleProgram", "ScheduleStep", "compile_circuit", "init_schedule",

@@ -13,8 +13,9 @@ import csv
 import io
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -120,9 +121,13 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     margin = ({"safety_factor": _scalar(float, data["safety_factor"], "safety_factor")}
               if "safety_factor" in data else {})
     geometry, params = data.get("geometry", {}), data.get("params", {})
-    for section, values in (("params", params), ("geometry", geometry)):
+    for section, values, cls in (("params", params, MoleculeParams),
+                                 ("geometry", geometry, LayoutGeometry)):
         _check_object(values, section)
+        known = {f.name for f in fields(cls)}
         for key, value in values.items():
+            if key not in known:
+                raise ConfigError(f"{section} key {key!r} is not known")
             if isinstance(value, bool) and key not in ("layout", "topology"):
                 raise ConfigError(f"{section} key {key!r} must be a number, not {value!r}")
     if "safety_factor" in params:
@@ -374,7 +379,7 @@ def _json_chunks(value, lead: str, pad: str, out: list[str], texts: dict) -> Non
     """Append value to out as json.dumps(value, sort_keys=True, indent=2)
     writes it, nested at indent pad, with lead (the separator before it).
     Schedules are written as their schedule JSON and register states as
-    register.state_json pairs, straight from the objects. Keys must be
+    [re, im] amplitude pairs, straight from the objects. Keys must be
     str; any other key or value type is a TypeError. texts is the
     render's memo of action texts (_action_text)."""
     if not isinstance(value, _JSON_COMPOUND):
@@ -495,7 +500,8 @@ def _flat_amplitudes(state: EncodedRegisterState) -> list[float]:
 
 
 def _state_text(state: EncodedRegisterState, pad: str) -> str:
-    """The state's register.state_json pairs as JSON at indent pad."""
+    """The state's amplitudes as JSON [re, im] pairs, basis index in
+    row-major molecule order, at indent pad."""
     texts = list(map(float.__repr__, _flat_amplitudes(state)))
     texts = list(map(_JSON_SPECIAL_FLOATS.get, texts, texts))
     pair_pad = pad + "  "
@@ -601,7 +607,17 @@ def main(argv=None) -> int:
         output = _indented_json(record)
 
     if not args.out:
-        sys.stdout.buffer.write(output)
+        try:
+            sys.stdout.buffer.write(output)
+            sys.stdout.buffer.flush()
+        except BrokenPipeError as exc:
+            # the reader closed the pipe early; point stdout at devnull so the
+            # flush at interpreter exit has nothing to write (the SIGPIPE
+            # note in Python's signal docs)
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return _usage_error(ConfigError(f"cannot write stdout: {exc}"))
         return code
     try:
         Path(args.out).write_bytes(output)

@@ -99,10 +99,6 @@ class Topology:
             table[j].add(i)
         return tuple(map(frozenset, table))
 
-    def neighbors(self, index: int) -> frozenset[int]:
-        """Neighbours of one molecule; none for an index outside the register."""
-        return self.neighbor_table()[index] if 0 <= index < self.size else frozenset()
-
 
 @dataclass(frozen=True)
 class LayoutGeometry:

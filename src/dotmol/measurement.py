@@ -41,20 +41,6 @@ class QpcReading:
             raise ValueError(f"unknown current level {self.level!r}")
 
 
-@dataclass(frozen=True)
-class BellDecomposition:
-    """Amplitudes in the Bell basis (Phi+/-, Psi+/-) of a two-molecule state."""
-
-    phi_plus: complex
-    phi_minus: complex
-    psi_plus: complex
-    psi_minus: complex
-
-    @property
-    def probabilities(self) -> dict[str, float]:
-        return {label: float(abs(getattr(self, label)) ** 2) for label in BELL_LABELS}
-
-
 _SQRT2 = math.sqrt(2.0)
 
 # (bit_i, bit_j) blocks that a pair read at each level rules out
@@ -75,19 +61,6 @@ def bell_state(label: str) -> EncodedRegisterState:
     if label not in vectors:
         raise ValueError(f"unknown Bell label {label!r}; choose from {BELL_LABELS}")
     return EncodedRegisterState(vectors[label], ("11", "11"))
-
-
-def decompose_bell(state: EncodedRegisterState) -> BellDecomposition:
-    """Project a two-molecule state onto the Bell basis."""
-    if state.n != 2:
-        raise ValueError("Bell decomposition needs exactly two molecules")
-    a = state.amplitudes
-    return BellDecomposition(
-        phi_plus=complex((a[0] + a[3]) / _SQRT2),
-        phi_minus=complex((a[0] - a[3]) / _SQRT2),
-        psi_plus=complex((a[1] + a[2]) / _SQRT2),
-        psi_minus=complex((a[1] - a[2]) / _SQRT2),
-    )
 
 
 # outcomes at or below this probability are never drawn
@@ -295,11 +268,3 @@ def bell_branches(state: EncodedRegisterState, i: int, j: int,
             outcomes[level1, level2] = BellOutcome(level1, level2, classification,
                                                    phi2, reading1, reading2, final)
     return BellBranches(round1, round2, outcomes)
-
-
-def bell_measure(state: EncodedRegisterState, i: int, j: int,
-                 g: LayoutGeometry, params: MoleculeParams,
-                 rng: np.random.Generator) -> BellOutcome:
-    """Two-round QPC Bell measurement on adjacent molecules i, j: one draw
-    from bell_branches per read."""
-    return bell_branches(state, i, j, g, params).sample(rng.random)

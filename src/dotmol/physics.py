@@ -94,28 +94,9 @@ def sin_sq_mixing(eps, tc):
     return np.sin(adiabatic_angle(eps, tc)) ** 2
 
 
-def hybridized_states(theta):
-    """Hybridized singlet pair in the {|S(1,1)>, |S(0,2)>} basis.
-
-    Returns (|S~>, |G~>) = ((cos t, sin t), (-sin t, cos t)). |S~> is the
-    branch adiabatically connected to |S(1,1)> at far negative detuning.
-    """
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([c, s]), np.array([-s, c])
-
-
-def charge_hamiltonian(eps: float, tc: float) -> np.ndarray:
-    """Two-level singlet charge Hamiltonian in the {|S(1,1)>, |S(0,2)>} basis.
-
-    Raising eps lowers the doubly occupied state: diag(+eps/2, -eps/2) with
-    real tunnel coupling Tc off-diagonal. hybridized_states(adiabatic_angle)
-    are its eigenvectors, |S~> on the lower branch.
-    """
-    return np.array([[+eps / 2.0, tc], [tc, -eps / 2.0]])
-
-
 def charge_branch_energies(eps: float, tc: float) -> tuple[float, float]:
-    """Eigenvalues -/+ sqrt(eps^2/4 + Tc^2) of the singlet charge Hamiltonian.
+    """Eigenvalues -/+ sqrt(eps^2/4 + Tc^2) of the singlet charge Hamiltonian
+    diag(+eps/2, -eps/2) + Tc X (tests/charge_oracle.py charge_hamiltonian).
 
     The gap at eps = 0 is 2*Tc. Ordered (lower, upper) = (|S~>, |G~>).
     """
@@ -184,10 +165,6 @@ class DetuningWaveform:
     def duration(self) -> float:
         return self.times[-1] - self.times[0]
 
-    def detuning_at(self, t):
-        """Piecewise-linear eps(t); clamps outside [t0, t_end]."""
-        return np.interp(t, self.times, self.detunings)
-
     def segments(self):
         """Yield (t0, t1, eps0, eps1) for each linear piece."""
         for i in range(len(self.times) - 1):
@@ -204,19 +181,6 @@ def full_sweep(params: MoleculeParams, duration: float) -> DetuningWaveform:
     return DetuningWaveform((0.0, duration),
                             (params.detuning_min, params.detuning_max),
                             measurement_hold=True)
-
-
-def square_pulse(params: MoleculeParams, ramp: float, hold: float) -> DetuningWaveform:
-    """Ramp to +Ec/2, hold, ramp back. The workhorse gate waveform."""
-    lo, hi = params.detuning_min, params.detuning_max
-    return DetuningWaveform(
-        (0.0, ramp, ramp + hold, 2.0 * ramp + hold),
-        (lo, hi, hi, lo),
-    )
-
-
-def hold_at(eps: float, duration: float, measurement_hold: bool = False) -> DetuningWaveform:
-    return DetuningWaveform((0.0, duration), (eps, eps), measurement_hold=measurement_hold)
 
 
 @dataclass(frozen=True)

@@ -109,18 +109,12 @@ def molecule_probabilities(state: EncodedRegisterState, molecule: int) -> tuple[
     return 1.0 - p_s, p_s
 
 
-def state_json(state: EncodedRegisterState) -> list[list[float]]:
-    """Amplitudes as (re, im) pairs, basis index in row-major molecule order."""
-    return [[float(a.real), float(a.imag)] for a in state.amplitudes]
-
-
 @dataclass(frozen=True)
 class Rotation:
     """Single-molecule rotation available to the hardware.
 
     kind      "uz" (about Z), "uxz" (about an axis in the XZ plane at
-              axis_angle from Z), "hadamard", or "euler_x" (X rotation
-              composed as Uxz * Uz * Uxz).
+              axis_angle from Z) or "hadamard".
     angle     rotation angle, rad (ignored for hadamard).
     axis_angle  XZ-plane axis tilt, rad (uxz only).
     duration  wall time charged to coherence budgets, ns.
@@ -132,7 +126,7 @@ class Rotation:
     duration: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("uz", "uxz", "hadamard", "euler_x"):
+        if self.kind not in ("uz", "uxz", "hadamard"):
             raise ValueError(f"unknown rotation kind {self.kind!r}")
         if not math.isfinite(self.angle) or not math.isfinite(self.axis_angle):
             raise ValueError("rotation angles must be finite")
@@ -140,44 +134,29 @@ class Rotation:
             raise ValueError("rotation duration must be >= 0")
 
     @staticmethod
-    def z(angle: float, duration: float = 0.0) -> "Rotation":
-        return Rotation("uz", angle=angle, duration=duration)
+    def z(angle: float) -> "Rotation":
+        return Rotation("uz", angle=angle)
 
     @staticmethod
-    def xz(axis_angle: float, angle: float, duration: float = 0.0) -> "Rotation":
-        return Rotation("uxz", angle=angle, axis_angle=axis_angle, duration=duration)
+    def xz(axis_angle: float, angle: float) -> "Rotation":
+        return Rotation("uxz", angle=angle, axis_angle=axis_angle)
 
     @staticmethod
-    def hadamard(duration: float = 0.0) -> "Rotation":
-        return Rotation("hadamard", duration=duration)
-
-    @staticmethod
-    def euler_x(angle: float, duration: float = 0.0) -> "Rotation":
-        return Rotation("euler_x", angle=angle, duration=duration)
+    def hadamard() -> "Rotation":
+        return Rotation("hadamard")
 
     def matrix(self) -> np.ndarray:
         if self.kind == "hadamard":
             return _HADAMARD.copy()
         if self.kind == "uz":
             return _axis_rotation(0.0, self.angle)
-        if self.kind == "uxz":
-            return _axis_rotation(self.axis_angle, self.angle)
-        # euler_x: Uxz(pi/4, pi) Uz(phi) Uxz(pi/4, pi) = -Rx(phi). At a
-        # 45-degree axis the three-step composition is exact for every phi.
-        wing = _axis_rotation(math.pi / 4.0, math.pi)
-        return wing @ _axis_rotation(0.0, self.angle) @ wing
+        return _axis_rotation(self.axis_angle, self.angle)
 
 
 def _axis_rotation(axis_angle: float, angle: float) -> np.ndarray:
     """exp(-i*angle/2 * (sin(axis)X + cos(axis)Z))."""
     n = math.sin(axis_angle) * _PAULI_X + math.cos(axis_angle) * _PAULI_Z
     return math.cos(angle / 2.0) * np.eye(2, dtype=complex) - 1j * math.sin(angle / 2.0) * n
-
-
-def euler_x_sequence(angle: float) -> tuple[Rotation, Rotation, Rotation]:
-    """The three hardware rotations whose product is euler_x(angle)."""
-    wing = Rotation.xz(math.pi / 4.0, math.pi)
-    return wing, Rotation.z(angle), wing
 
 
 def apply_rotation(state: EncodedRegisterState, molecule: int,
@@ -259,19 +238,6 @@ def _check_pair(n: int, i: int, j: int, adjacency):
     if (min(i, j), max(i, j)) not in adjacency:
         raise ValueError(f"molecules {i} and {j} are not adjacent; "
                          "two-molecule operations need adjacency (no routing)")
-
-
-def align_global_phase(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Return b rotated by the global phase that best matches a."""
-    overlap = np.vdot(b, a)
-    if abs(overlap) == 0.0:
-        return b.copy()
-    return b * (overlap / abs(overlap))
-
-
-def states_equal(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
-    """Amplitude-wise equality up to a global phase."""
-    return bool(np.max(np.abs(np.asarray(a) - align_global_phase(a, np.asarray(b)))) <= tol)
 
 
 def phase_from_waveform(w: DetuningWaveform, g: LayoutGeometry, tc: float) -> float:

@@ -3,10 +3,10 @@
 Every random draw in a run flows from the root seed through a stream named
 by string labels (scenario, trial index, ...). Stream identity depends only
 on the root seed and the labels, never on the order in which streams are
-opened, so a trial replays from its labels alone. uniforms() draws from
-many streams in one pass, bit for bit as substream(): numpy's SeedSequence
-mixing (O'Neill's seed_seq) runs on uint32 columns over all streams, then
-PCG64 (XSL-RR output) steps in Python ints.
+opened, so a trial replays from its labels alone. tokens_and_uniforms()
+draws from many streams in one pass, bit for bit as substream(): numpy's
+SeedSequence mixing (O'Neill's seed_seq) runs on uint32 columns over all
+streams, then PCG64 (XSL-RR output) steps in Python ints.
 """
 from __future__ import annotations
 
@@ -39,14 +39,11 @@ def substream(root_seed: int, *labels) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([int(root_seed) & (2 ** 63 - 1), *words]))
 
 
-def uniforms(root_seed: int, label_tuples, k: int) -> np.ndarray:
-    """(T, k) array over an iterable of T label tuples, read once: row t holds
-    the first k random() draws of substream(root_seed, *label_tuples[t])."""
-    return tokens_and_uniforms(root_seed, label_tuples, k)[1]
-
-
 def tokens_and_uniforms(root_seed: int, label_tuples, k: int) -> tuple[list[int], np.ndarray]:
-    """stream_token(*labels) and uniforms() of each label tuple, one sha256 each."""
+    """(tokens, draws) over an iterable of T label tuples, read once with one
+    sha256 per tuple: tokens[t] is stream_token(*labels) of tuple t, and row
+    t of the (T, k) array draws holds the first k random() draws of
+    substream(root_seed, *labels)."""
     words = np.frombuffer(b"".join(map(_digest, label_tuples)), ">u4").reshape(-1, 8)
     tokens = (words[:, 0].astype(np.uint64) << np.uint64(32) | words[:, 1]).tolist()
     # SeedSequence([root, *words[:4]]) entropy: 0 and any root below 2**32

@@ -6,6 +6,12 @@ charge amplitudes slaved to (cos theta(t), sin theta(t)). It shares no
 phase code with the encoded register: its time integrals are adaptive
 quadrature. The encoded 2^n model must agree with it wherever the encoded
 picture claims to be exact.
+
+The waveform and two-level helpers the oracle and the physics tests build
+on live here too: detuning_at samples a waveform, square_pulse and hold_at
+build the gate and idle waveforms, and charge_hamiltonian with
+hybridized_states is the singlet charge model whose eigenvectors the
+adiabatic angle names.
 """
 from __future__ import annotations
 
@@ -17,10 +23,49 @@ from scipy.integrate import quad
 
 from dotmol.constants import HBAR_UEV_NS
 from dotmol.electrostatics import LayoutGeometry, charge_sites, sites_pair_energy
-from dotmol.physics import adiabatic_angle, sin_sq_mixing
+from dotmol.physics import DetuningWaveform, MoleculeParams, adiabatic_angle, sin_sq_mixing
 from dotmol.register import EncodedRegisterState
 
 ORACLE_MOLECULE_LIMIT = 4
+
+
+def detuning_at(w: DetuningWaveform, t):
+    """Piecewise-linear eps(t) of w; clamps outside [t0, t_end]."""
+    return np.interp(t, w.times, w.detunings)
+
+
+def square_pulse(params: MoleculeParams, ramp: float, hold: float) -> DetuningWaveform:
+    """Ramp to +Ec/2, hold, ramp back. The workhorse gate waveform."""
+    lo, hi = params.detuning_min, params.detuning_max
+    return DetuningWaveform(
+        (0.0, ramp, ramp + hold, 2.0 * ramp + hold),
+        (lo, hi, hi, lo),
+    )
+
+
+def hold_at(eps: float, duration: float, measurement_hold: bool = False) -> DetuningWaveform:
+    return DetuningWaveform((0.0, duration), (eps, eps), measurement_hold=measurement_hold)
+
+
+def hybridized_states(theta):
+    """Hybridized singlet pair in the {|S(1,1)>, |S(0,2)>} basis.
+
+    Returns (|S~>, |G~>) = ((cos t, sin t), (-sin t, cos t)). |S~> is the
+    branch adiabatically connected to |S(1,1)> at far negative detuning.
+    """
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([c, s]), np.array([-s, c])
+
+
+def charge_hamiltonian(eps: float, tc: float) -> np.ndarray:
+    """Two-level singlet charge Hamiltonian in the {|S(1,1)>, |S(0,2)>} basis.
+
+    Raising eps lowers the doubly occupied state: diag(+eps/2, -eps/2) with
+    real tunnel coupling Tc off-diagonal. hybridized_states(adiabatic_angle)
+    are its eigenvectors, |S~> on the lower branch, and
+    dotmol.physics.charge_branch_energies are its eigenvalues.
+    """
+    return np.array([[+eps / 2.0, tc], [tc, -eps / 2.0]])
 
 
 @dataclass(frozen=True)
@@ -110,8 +155,8 @@ def oracle_evolve(oracle: OracleState, g: LayoutGeometry, tc: float,
     if duration is None:
         duration = max(w.times[-1] for w in waveforms)
 
-    theta0 = [adiabatic_angle(w.detuning_at(0.0), tc) for w in waveforms]
-    theta1 = [adiabatic_angle(w.detuning_at(duration), tc) for w in waveforms]
+    theta0 = [adiabatic_angle(detuning_at(w, 0.0), tc) for w in waveforms]
+    theta1 = [adiabatic_angle(detuning_at(w, duration), tc) for w in waveforms]
     logical = _product_basis(theta0, n).conj() @ oracle.amplitudes
     residual = float(np.sum(np.abs(oracle.amplitudes) ** 2) - np.sum(np.abs(logical) ** 2))
     if residual > 1e-9:
@@ -122,7 +167,7 @@ def oracle_evolve(oracle: OracleState, g: LayoutGeometry, tc: float,
     # the molecule's (0,2) weight sin^2(theta_m); a pair's expected energy
     # is bilinear in (1-s, s) of each side, so three integrals per pair
     # (I_i, I_j, I_ij) cover every logical combination.
-    weights = [lambda t, w=w: sin_sq_mixing(w.detuning_at(t), tc) for w in waveforms]
+    weights = [lambda t, w=w: sin_sq_mixing(detuning_at(w, t), tc) for w in waveforms]
     breakpoints = sorted({0.0, duration, *(
         float(t) for w in waveforms for t in w.times if 0.0 < t < duration)})
 

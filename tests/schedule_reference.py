@@ -4,10 +4,9 @@ them before per-step neighbour sets.
 `compile_circuit` rebuilt each step's molecule set on every fit test and
 walked every displaced-by-displaced pair against the adjacency set;
 `validate_program` walked every pair of actions in a step, rotations
-included; `init_schedule` asked the topology for each molecule's
-neighbours one call at a time. They are copied here unchanged so the
-packing, findings and colours of dotmol.scheduler can be checked against
-them on the same inputs.
+included; `init_schedule` coloured the molecules greedily in index order.
+They are copied here so the packing, findings and colours of
+dotmol.scheduler can be checked against them on the same inputs.
 
 `reference_simulate_program` is the simulator as it ran before it owned
 one buffer with a lazily permuted molecule order: every operation goes
@@ -18,7 +17,12 @@ The in-place simulator must match its amplitudes bit for bit.
 decoder the package carried as `ScheduleProgram.to_json` and `from_json`
 before the CLI wrote schedules straight from the program. The encoder is
 the dict tree whose `json.dumps(..., sort_keys=True, indent=2)` the CLI's
-writer must match byte for byte.
+writer must match byte for byte. `state_json` is the matching list of
+(re, im) amplitude pairs that the package carried as `register.state_json`.
+
+`align_global_phase` and `states_equal` compare states up to a global
+phase; the package exported them before it kept only the names its own
+code calls.
 """
 from __future__ import annotations
 
@@ -45,8 +49,7 @@ def init_schedule(topology: Topology, params: MoleculeParams | None = None) -> S
     is the greedy color count: 2 on a line, 4 on a diagonal-adjacency grid
     (2 edge-only), scanning molecules in index order.
     """
-    adjacency = topology.adjacency()
-    neighbors = {i: topology.neighbors(i) for i in range(topology.size)}
+    neighbors = topology.neighbor_table()
     colors: dict[int, int] = {}
     for m in range(topology.size):
         taken = {colors[o] for o in neighbors[m] if o in colors}
@@ -261,3 +264,21 @@ def reference_from_json(data: dict) -> ScheduleProgram:
                 phase=a.get("phase"), read_duration=a.get("read_duration_ns", 0.0)))
         steps.append(ScheduleStep(tuple(actions)))
     return ScheduleProgram(tuple(steps), data["molecule_count"])
+
+
+def state_json(state: EncodedRegisterState) -> list[list[float]]:
+    """Amplitudes as (re, im) pairs, basis index in row-major molecule order."""
+    return [[float(a.real), float(a.imag)] for a in state.amplitudes]
+
+
+def align_global_phase(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Return b rotated by the global phase that best matches a."""
+    overlap = np.vdot(b, a)
+    if abs(overlap) == 0.0:
+        return b.copy()
+    return b * (overlap / abs(overlap))
+
+
+def states_equal(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
+    """Amplitude-wise equality up to a global phase."""
+    return bool(np.max(np.abs(np.asarray(a) - align_global_phase(a, np.asarray(b)))) <= tol)

@@ -11,19 +11,22 @@ import warnings
 
 import numpy as np
 
-from charge_oracle import oracle_evolve, oracle_from_encoded, oracle_to_encoded
+from charge_oracle import (charge_hamiltonian, hold_at, hybridized_states,
+                           oracle_evolve, oracle_from_encoded, oracle_to_encoded,
+                           square_pulse)
 from coulomb_oracle import pairwise_energy, perpendicular_molecule
+from schedule_reference import align_global_phase
 from dotmol import (READ_LIMIT_MESSAGE, Action, EncodedRegisterState, Gate,
                     LayoutGeometry, MoleculeParams, ScheduleProgram,
                     ScheduleStep, Topology, adiabatic_angle,
-                    align_global_phase, background_interaction, bell_measure,
-                    bell_state, charge_hamiltonian, charge_sites, cnot,
-                    compile_circuit, controlled_phase_hold_time,
-                    doubly_occupied_interaction, hold_at, hybridized_states,
-                    init_schedule, ising_phase, pair_coupling,
-                    phase_from_waveform, sin_sq_mixing, sites_pair_energy,
-                    square_pulse, substream, time_budget, validate_program)
+                    background_interaction, bell_branches, bell_state,
+                    charge_sites, compile_circuit, controlled_phase_hold_time,
+                    doubly_occupied_interaction, init_schedule, ising_phase,
+                    pair_coupling, phase_from_waveform, sin_sq_mixing,
+                    sites_pair_energy, substream, time_budget,
+                    validate_program)
 from dotmol.cli import main
+from dotmol.register import cnot
 
 
 def verdict(number: int, label: str, ok: bool):
@@ -192,7 +195,8 @@ def test_criterion_6_bell_protocol():
         round2 = {"I_max": 0, "I_mid": 0, "I_min": 0, None: 0}
         classifications = set()
         for _ in range(trials):
-            outcome = bell_measure(bell_state(label), 0, 1, g, params, rng)
+            outcome = bell_branches(bell_state(label), 0, 1, g,
+                                    params).sample(rng.random)
             round1[outcome.round1] += 1
             round2[outcome.round2] += 1
             classifications.add(outcome.classification)

@@ -7,7 +7,7 @@ sweep points stay small, so no example asks for a large allocation.
 
 The CLI's indented-JSON writer must write every drawn payload exactly as
 json.dumps(payload, sort_keys=True, indent=2) does, and a register state
-exactly as json.dumps writes its register.state_json pairs.
+exactly as json.dumps writes its state_json pairs (schedule_reference).
 """
 import contextlib
 import copy
@@ -19,8 +19,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from schedule_reference import state_json
 
-from dotmol import EncodedRegisterState, state_json
+from dotmol import EncodedRegisterState
 from dotmol.cli import _indented_json, main
 
 PROPERTY_SETTINGS = settings(

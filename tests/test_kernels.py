@@ -11,11 +11,11 @@ import math
 import numpy as np
 import pytest
 
-from dotmol import (EncodedRegisterState, Rotation, apply_rotation, cnot,
+from dotmol import (EncodedRegisterState, Rotation, apply_rotation,
                     ising_phase, molecule_probabilities,
                     pair_read_probabilities, product_state, qpc_read_pair,
                     qpc_read_single)
-from dotmol.register import ENCODED_MOLECULE_LIMIT, check_register_size
+from dotmol.register import ENCODED_MOLECULE_LIMIT, check_register_size, cnot
 
 TOL = 1e-12
 SIZES = (1, 2, 3, 4, 5)

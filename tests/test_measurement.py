@@ -5,46 +5,45 @@ import numpy as np
 import pytest
 from bell_reference import reference_bell
 
-from dotmol import (BELL_LABELS, EncodedRegisterState, bell_branches, bell_measure, bell_state, decompose_bell,
+from dotmol import (BELL_LABELS, EncodedRegisterState, bell_branches, bell_state,
                     pair_read_probabilities, product_state, qpc_read_pair,
                     qpc_read_single, substream)
 
 SQ = 1 / math.sqrt(2)
 
+BELL_VECTORS = {"phi_plus": [SQ, 0, 0, SQ], "phi_minus": [SQ, 0, 0, -SQ],
+                "psi_plus": [0, SQ, SQ, 0], "psi_minus": [0, SQ, -SQ, 0]}
+
+
+def bell_amplitudes(amps):
+    """Amplitudes of a two-molecule state in the Bell basis of BELL_VECTORS."""
+    tt, ts, st, ss = amps
+    return {"phi_plus": (tt + ss) * SQ, "phi_minus": (tt - ss) * SQ,
+            "psi_plus": (ts + st) * SQ, "psi_minus": (ts - st) * SQ}
+
 
 def test_bell_states_and_decomposition():
     for label in BELL_LABELS:
-        probs = decompose_bell(bell_state(label)).probabilities
-        assert probs[label] == pytest.approx(1.0)
-        assert sum(probs.values()) == pytest.approx(1.0)
+        amps = bell_state(label).amplitudes
+        assert np.array_equal(amps, np.array(BELL_VECTORS[label], dtype=complex))
+        d = bell_amplitudes(amps)
+        assert d[label] == pytest.approx(1.0)
+        assert sum(abs(c) ** 2 for c in d.values()) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         bell_state("phi")
 
 
 def test_decompose_tt():
-    d = decompose_bell(product_state("TT"))
-    assert d.phi_plus == pytest.approx(SQ)
-    assert d.phi_minus == pytest.approx(SQ)
-    assert d.psi_plus == d.psi_minus == 0
+    d = bell_amplitudes(product_state("TT").amplitudes)
+    assert d["phi_plus"] == pytest.approx(SQ)
+    assert d["phi_minus"] == pytest.approx(SQ)
+    assert d["psi_plus"] == d["psi_minus"] == 0
 
 
 def test_decompose_psi_minus():
-    d = decompose_bell(bell_state("psi_minus"))
-    assert (d.phi_plus, d.phi_minus, d.psi_plus) == (0, 0, 0)
-    assert d.psi_minus == pytest.approx(1.0)
-
-
-def test_decompose_random_state_is_unitary(rng):
-    for _ in range(20):
-        amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        amps /= np.linalg.norm(amps)
-        probs = decompose_bell(EncodedRegisterState(amps, ("11", "11"))).probabilities
-        assert sum(probs.values()) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_decompose_needs_two_molecules():
-    with pytest.raises(ValueError):
-        decompose_bell(product_state("TTT"))
+    d = bell_amplitudes(bell_state("psi_minus").amplitudes)
+    assert (d["phi_plus"], d["phi_minus"], d["psi_plus"]) == (0, 0, 0)
+    assert d["psi_minus"] == pytest.approx(1.0)
 
 
 def test_read_single_deterministic(rng):
@@ -126,8 +125,8 @@ def run_bell(label, trials, geometry, params, seed=0):
     outcomes = []
     for t in range(trials):
         rng = substream(seed, "bell", label, t)
-        outcomes.append(bell_measure(bell_state(label), 0, 1, geometry,
-                                     params, rng))
+        outcomes.append(bell_branches(bell_state(label), 0, 1, geometry,
+                                      params).sample(rng.random))
     return outcomes
 
 
@@ -163,8 +162,10 @@ def test_bell_zero_psi_confusion(geometry, params):
     # no seed may ever cross-classify the two Psi states
     for t in range(500):
         rng = substream(1234, "confusion", t)
-        plus = bell_measure(bell_state("psi_plus"), 0, 1, geometry, params, rng)
-        minus = bell_measure(bell_state("psi_minus"), 0, 1, geometry, params, rng)
+        plus = bell_branches(bell_state("psi_plus"), 0, 1, geometry,
+                             params).sample(rng.random)
+        minus = bell_branches(bell_state("psi_minus"), 0, 1, geometry,
+                              params).sample(rng.random)
         assert plus.classification == "psi_plus"
         assert minus.classification == "psi_minus"
 
@@ -190,17 +191,17 @@ def test_bell_final_state_in_projector_range(geometry, params):
 
 
 def test_bell_product_states_classify_as_sectors(geometry, params, rng):
-    tt = bell_measure(product_state("TT"), 0, 1, geometry, params, rng)
+    tt = bell_branches(product_state("TT"), 0, 1, geometry, params).sample(rng.random)
     assert tt.round1 == "I_max" and tt.classification == "tt_or_phi_sector"
-    ss = bell_measure(product_state("SS"), 0, 1, geometry, params, rng)
+    ss = bell_branches(product_state("SS"), 0, 1, geometry, params).sample(rng.random)
     assert ss.round1 == "I_min" and ss.classification == "ss_or_phi_sector"
 
 
 def test_bell_identical_seed_identical_outcome(geometry, params):
-    a = bell_measure(bell_state("psi_plus"), 0, 1, geometry, params,
-                     substream(99, "repeat", 0))
-    b = bell_measure(bell_state("psi_plus"), 0, 1, geometry, params,
-                     substream(99, "repeat", 0))
+    a = bell_branches(bell_state("psi_plus"), 0, 1, geometry,
+                      params).sample(substream(99, "repeat", 0).random)
+    b = bell_branches(bell_state("psi_plus"), 0, 1, geometry,
+                      params).sample(substream(99, "repeat", 0).random)
     assert (a.round1, a.round2, a.classification, a.phi) == \
         (b.round1, b.round2, b.classification, b.phi)
     assert np.array_equal(a.final_state.amplitudes, b.final_state.amplitudes)
@@ -221,7 +222,7 @@ def test_bell_measure_matches_step_by_step_reference(geometry, params, rng):
         for trial in range(10):
             ours_rng = substream(5, "reference", k, trial)
             ref_rng = substream(5, "reference", k, trial)
-            outcome = bell_measure(state, 0, 1, geometry, params, ours_rng)
+            outcome = bell_branches(state, 0, 1, geometry, params).sample(ours_rng.random)
             *fields, final = reference_bell(state, 0, 1, geometry, params, ref_rng)
             assert (outcome.round1, outcome.round2, outcome.classification,
                     outcome.phi) == tuple(fields)

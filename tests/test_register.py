@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from charge_oracle import (OracleState, oracle_evolve, oracle_from_encoded,
-                           oracle_to_encoded)
+from charge_oracle import (OracleState, detuning_at, hold_at, oracle_evolve,
+                           oracle_from_encoded, oracle_to_encoded, square_pulse)
+from schedule_reference import align_global_phase, state_json, states_equal
 from dotmol import (DetuningWaveform, EncodedRegisterState, LayoutGeometry,
-                    MoleculeParams, Rotation, Topology, align_global_phase,
-                    apply_rotation, cnot, controlled_phase_hold_time,
-                    euler_x_sequence, full_sweep, hold_at, ising_phase,
+                    MoleculeParams, Rotation, Topology, apply_rotation,
+                    controlled_phase_hold_time, full_sweep, ising_phase,
                     molecule_probabilities, pair_coupling, phase_from_waveform,
-                    product_state, sin_sq_mixing, square_pulse, state_json,
-                    states_equal)
+                    product_state, sin_sq_mixing)
 from dotmol.constants import HBAR_UEV_NS
+from dotmol.register import cnot
 
 LINE2 = Topology.line(2).adjacency()
 LINE3 = Topology.line(3).adjacency()
@@ -53,7 +53,7 @@ def test_rotation_matrices_unitary():
     rng = np.random.default_rng(5)
     rotations = [Rotation.hadamard()]
     for _ in range(100):
-        kind = rng.choice(["uz", "uxz", "euler_x"])
+        kind = rng.choice(["uz", "uxz"])
         rotations.append(Rotation(kind, angle=rng.uniform(-7, 7),
                                   axis_angle=rng.uniform(-math.pi, math.pi)))
     for rot in rotations:
@@ -75,29 +75,6 @@ def test_uz_full_turn_is_identity_up_to_phase():
 def test_hadamard_on_t():
     state = apply_rotation(product_state("T"), 0, Rotation.hadamard())
     assert np.allclose(state.amplitudes, [1 / math.sqrt(2), 1 / math.sqrt(2)])
-
-
-def test_euler_x_matches_x_rotation():
-    x = np.array([[0, 1], [1, 0]], dtype=complex)
-    u = Rotation.euler_x(math.pi).matrix()
-    phase = u[0, 1] / x[0, 1]
-    assert abs(abs(phase) - 1) < 1e-12
-    assert np.max(np.abs(u - phase * x)) < 1e-10
-
-    rng = np.random.default_rng(9)
-    for angle in rng.uniform(-2 * math.pi, 2 * math.pi, size=25):
-        rx = (math.cos(angle / 2) * np.eye(2)
-              - 1j * math.sin(angle / 2) * x)
-        u = Rotation.euler_x(angle).matrix()
-        overlap = np.trace(u.conj().T @ rx) / 2
-        assert abs(abs(overlap) - 1) < 1e-12  # equal up to global phase
-
-
-def test_euler_x_sequence_composes():
-    for angle in (0.3, math.pi, -1.2):
-        first, second, third = euler_x_sequence(angle)
-        product = third.matrix() @ second.matrix() @ first.matrix()
-        assert np.max(np.abs(product - Rotation.euler_x(angle).matrix())) < 1e-12
 
 
 def test_rotation_rejected_while_displaced():
@@ -183,7 +160,7 @@ def test_norm_preserved_over_1000_random_operations():
     state = EncodedRegisterState(amps, ("11",) * 4)
     for _ in range(1000):
         if rng.random() < 0.5:
-            kind = rng.choice(["uz", "uxz", "hadamard", "euler_x"])
+            kind = rng.choice(["uz", "uxz", "hadamard"])
             rot = Rotation(kind, angle=rng.uniform(-7, 7),
                            axis_angle=rng.uniform(-math.pi, math.pi))
             state = apply_rotation(state, int(rng.integers(4)), rot)
@@ -207,7 +184,7 @@ def test_align_and_states_equal(rng):
 
 def quad_phase(w, g, tc):
     """Reference Ising phase: adaptive quadrature of sin^2(theta) per segment."""
-    total = sum(quad(lambda t: sin_sq_mixing(w.detuning_at(t), tc), t0, t1,
+    total = sum(quad(lambda t: sin_sq_mixing(detuning_at(w, t), tc), t0, t1,
                      epsabs=0.0, epsrel=1e-12, limit=200)[0]
                 for t0, t1, _, _ in w.segments())
     return pair_coupling(g).coupling_max * total / HBAR_UEV_NS

@@ -6,14 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import schedule_reference as reference
+from charge_oracle import square_pulse
 
 from dotmol import (ECHO_FACTOR, READ_LIMIT_MESSAGE, Action, CompileError,
                     Gate, LayoutGeometry, MoleculeParams, Rotation,
                     ScheduleProgram, ScheduleStep, Topology, apply_rotation,
                     compile_circuit, init_schedule, ising_phase,
                     phase_from_waveform, product_state, simulate_program,
-                    square_pulse, time_budget, validate_program)
+                    time_budget, validate_program)
 from dotmol.cli import _indented_json
+from dotmol.register import cnot
 
 
 def members(step):
@@ -452,7 +454,6 @@ def test_schedule_json_round_trip(params):
 
 
 def test_simulated_schedule_matches_sequential_gates(params):
-    from dotmol import cnot
     g = LayoutGeometry(topology=Topology.line(3))
     adjacency = g.topology.adjacency()
     gates = [Gate("h", (0,)), Gate("cz", (0, 1)), Gate("h", (1,)),
@@ -478,11 +479,10 @@ def test_simulated_schedule_matches_sequential_gates(params):
 
 
 def test_simulate_init_prologue_resets(geometry, params):
-    from dotmol import states_equal
     program = init_schedule(geometry.topology, params)
     state, events = simulate_program(program, geometry, params)
     assert events == []
-    assert states_equal(state.amplitudes, product_state("SS").amplitudes)
+    assert reference.states_equal(state.amplitudes, product_state("SS").amplitudes)
 
 
 def test_simulate_reads_need_rng(geometry, params):

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from dotmol.streams import stream_token, substream, tokens_and_uniforms, uniforms
+from dotmol.streams import stream_token, substream, tokens_and_uniforms
 
 
 def test_stream_token_values_are_pinned():
@@ -19,7 +19,7 @@ def test_substream_values_are_pinned():
 
 
 def test_uniforms_values_are_pinned():
-    assert uniforms(2 ** 40 + 5, [("bell", "psi_minus", 999)], 3).tolist() == [
+    assert tokens_and_uniforms(2 ** 40 + 5, [("bell", "psi_minus", 999)], 3)[1].tolist() == [
         [0.5055964373049785, 0.24184546823314512, 0.7444325607549324]]
 
 
@@ -46,7 +46,7 @@ def test_uniforms_match_substream_draws(k):
     for root, labels in keys:
         tokens, got = tokens_and_uniforms(root, labels, k)
         assert got.shape == (len(labels), k) and got.dtype == np.float64
-        assert np.array_equal(uniforms(root, labels, k), got)
+        assert np.array_equal(tokens_and_uniforms(root, iter(labels), k)[1], got)
         assert tokens == [stream_token(*label) for label in labels]
         for row, label in zip(got.tolist(), labels):
             rng = substream(root, *label)
@@ -54,5 +54,5 @@ def test_uniforms_match_substream_draws(k):
 
 
 def test_uniforms_of_no_labels_are_empty():
-    assert uniforms(7, [], 2).shape == (0, 2)
+    assert tokens_and_uniforms(7, [], 2)[1].shape == (0, 2)
     assert tokens_and_uniforms(2 ** 40, [], 1)[0] == []
