@@ -66,12 +66,32 @@ class RunConfig:
             raise ConfigError("scenario 'compile' has no CSV rendering; use json")
 
 
+# the keys the config and each kind of scenario may hold
+_CONFIG_KEYS = frozenset({"geometry", "params", "scenario", "seed", "format", "echo",
+                          "safety_factor"})
+_SCENARIO_KEYS = {"simulate": frozenset({"kind", "circuit"}),
+                  "compile": frozenset({"kind", "circuit"}),
+                  "bell": frozenset({"kind", "input", "trials"}),
+                  "sweep": frozenset({"kind", "parameter", "observable", "start",
+                                      "stop", "points"})}
+
+
+def _check_keys(values: dict, known, section: str, kind: str | None = None):
+    """Refuse the first key of values that is not in known, by name."""
+    for key in values:
+        if key not in known:
+            where = f" for kind {kind!r}" if kind is not None else ""
+            raise ConfigError(f"{section} key {key!r} is not known{where}")
+
+
 def _build_topology(data) -> Topology:
     _check_object(data, "topology")
     kind = data.get("kind", "line")
     if kind == "line":
+        _check_keys(data, ("kind", "n"), "topology", kind)
         return Topology.line(_scalar(int, data.get("n", 2), "n"))
     if kind == "grid":
+        _check_keys(data, ("kind", "rows", "cols", "diagonal"), "topology", kind)
         return Topology.grid(_scalar(int, data.get("rows"), "rows"),
                              _scalar(int, data.get("cols"), "cols"),
                              diagonal=_flag(data.get("diagonal", True), "diagonal"))
@@ -116,6 +136,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a JSON object, not {type(data).__name__}")
+    _check_keys(data, _CONFIG_KEYS, "config")
     overrides = overrides or {}
     # the sweep margin is set at the top level and kept in MoleculeParams
     margin = ({"safety_factor": _scalar(float, data["safety_factor"], "safety_factor")}
@@ -124,10 +145,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
     for section, values, cls in (("params", params, MoleculeParams),
                                  ("geometry", geometry, LayoutGeometry)):
         _check_object(values, section)
-        known = {f.name for f in fields(cls)}
+        _check_keys(values, {f.name for f in fields(cls)}, section)
         for key, value in values.items():
-            if key not in known:
-                raise ConfigError(f"{section} key {key!r} is not known")
             if isinstance(value, bool) and key not in ("layout", "topology"):
                 raise ConfigError(f"{section} key {key!r} must be a number, not {value!r}")
     if "safety_factor" in params:
@@ -158,6 +177,7 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
 
 def _validate_scenario(scenario: dict, base: Path):
     kind = scenario["kind"]
+    _check_keys(scenario, _SCENARIO_KEYS[kind], "scenario", kind)
     if kind in ("simulate", "compile"):
         circuit = scenario.get("circuit")
         if not isinstance(circuit, str) or not circuit:

@@ -150,7 +150,8 @@ def _gate_pulse(g: LayoutGeometry, params: MoleculeParams) -> tuple[float, float
     hold = (multiple * math.pi - phi_ramps) * HBAR_UEV_NS / coupling_hold
     if hold < 1e-9:
         hold += 2.0 * math.pi * HBAR_UEV_NS / coupling_hold
-    return ramp, hold
+    # sin_sq_mixing returns a numpy scalar; actions carry plain floats
+    return ramp, float(hold)
 
 
 def _lower(gates, g: LayoutGeometry, params: MoleculeParams) -> list[Action]:
@@ -232,7 +233,8 @@ def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams) -> Schedul
     """
     size = g.topology.size
     neighbors = g.topology.neighbor_table()
-    for gate in gates:
+    # each distinct gate object once, in first-occurrence order
+    for gate in {id(gate): gate for gate in gates}.values():
         if any(q < 0 or q >= size for q in gate.qubits):
             raise CompileError(f"{gate.kind} on {gate.qubits} is out of range "
                                f"for {size} molecules")
@@ -282,38 +284,71 @@ def _pack(actions, neighbors: tuple[frozenset[int], ...]) -> ScheduleProgram:
 
 def validate_program(program: ScheduleProgram,
                      adjacency: frozenset[tuple[int, int]]) -> list[RuleViolation]:
-    """Check the charge exclusion rules; returns findings, never raises."""
+    """Check the charge exclusion rules; returns findings, never raises.
+
+    Each step is first screened the way _pack builds it: its molecules
+    are distinct and in range, and no charge-displaced action meets the
+    neighbours of the displaced actions before it. Only a step that fails
+    the screen takes the exact pairwise walk that words the findings. The
+    neighbour sets are symmetric and the walk looks pairs up as (min, max),
+    so the screen may flag a clean step but never passes a flagged one.
+    """
+    count = program.molecule_count
+    neighbors: dict[int, set[int]] = {}
+    for i, j in adjacency:
+        neighbors.setdefault(i, set()).add(j)
+        neighbors.setdefault(j, set()).add(i)
     out: list[RuleViolation] = []
     for s, step in enumerate(program.steps):
-        seen: dict[int, int] = {}
-        for k, action in enumerate(step.actions):
-            for m in action.molecules:
-                if m < 0 or m >= program.molecule_count:
-                    out.append(RuleViolation(s, "molecule-out-of-range", (m,),
-                                             f"step {s}: molecule {m} does not exist"))
-                if m in seen:
-                    out.append(RuleViolation(s, "overlapping-actions", (m,),
-                                             f"step {s}: molecule {m} is in two actions"))
-                seen[m] = k
-        # only charge-displaced actions can be close to one another
-        charged = [a for a in step.actions if a.displaced]
-        for a_idx, a in enumerate(charged):
-            for b in charged[a_idx + 1:]:
-                close = [(x, y) for x in a.displaced for y in b.displaced
-                         if (min(x, y), max(x, y)) in adjacency]
-                if not close:
-                    continue
-                if a.kind == "read_single" and b.kind == "read_single":
-                    rule, text = "adjacent-read", "simultaneous single-molecule reads"
-                elif a.kind == "init" and b.kind == "init":
-                    rule, text = "adjacent-init", "simultaneous initializations"
-                else:
-                    rule, text = "unintended-02-adjacency", \
-                        "charge-displaced molecules of different actions"
-                pairs = ", ".join(f"{x}-{y}" for x, y in close)
-                out.append(RuleViolation(s, rule, tuple(sorted(
-                    {m for xy in close for m in xy})),
-                    f"step {s}: {text} on adjacent molecules {pairs}"))
+        molecules = [m for a in step.actions for m in a.molecules]
+        clean = (len(set(molecules)) == len(molecules)
+                 and all(0 <= m < count for m in molecules))
+        near: set[int] = set()
+        for action in step.actions if clean else ():
+            displaced = action.displaced
+            if not near.isdisjoint(displaced):
+                clean = False
+                break
+            for m in displaced:
+                near.update(neighbors.get(m, ()))
+        if not clean:
+            out += _step_violations(s, step, count, adjacency)
+    return out
+
+
+def _step_violations(s: int, step: ScheduleStep, molecule_count: int,
+                     adjacency: frozenset[tuple[int, int]]) -> list[RuleViolation]:
+    """Every exclusion-rule finding of step s, pair by pair."""
+    out: list[RuleViolation] = []
+    seen: dict[int, int] = {}
+    for k, action in enumerate(step.actions):
+        for m in action.molecules:
+            if m < 0 or m >= molecule_count:
+                out.append(RuleViolation(s, "molecule-out-of-range", (m,),
+                                         f"step {s}: molecule {m} does not exist"))
+            if m in seen:
+                out.append(RuleViolation(s, "overlapping-actions", (m,),
+                                         f"step {s}: molecule {m} is in two actions"))
+            seen[m] = k
+    # only charge-displaced actions can be close to one another
+    charged = [a for a in step.actions if a.displaced]
+    for a_idx, a in enumerate(charged):
+        for b in charged[a_idx + 1:]:
+            close = [(x, y) for x in a.displaced for y in b.displaced
+                     if (min(x, y), max(x, y)) in adjacency]
+            if not close:
+                continue
+            if a.kind == "read_single" and b.kind == "read_single":
+                rule, text = "adjacent-read", "simultaneous single-molecule reads"
+            elif a.kind == "init" and b.kind == "init":
+                rule, text = "adjacent-init", "simultaneous initializations"
+            else:
+                rule, text = "unintended-02-adjacency", \
+                    "charge-displaced molecules of different actions"
+            pairs = ", ".join(f"{x}-{y}" for x, y in close)
+            out.append(RuleViolation(s, rule, tuple(sorted(
+                {m for xy in close for m in xy})),
+                f"step {s}: {text} on adjacent molecules {pairs}"))
     return out
 
 
@@ -346,18 +381,25 @@ def time_budget(program: ScheduleProgram, params: MoleculeParams,
     the molecule's start are flagged.
     """
     limit = params.coherence_time * (ECHO_FACTOR if echo else 1.0)
-    starts = np.concatenate([[0.0], np.cumsum([s.duration for s in program.steps])])
+    # Python floats throughout: the float64 step starts, as .tolist() gives
+    # them back, and `>` where max() would keep its first argument on a tie
+    durations = [s.duration for s in program.steps]
+    starts = np.concatenate([[0.0], np.cumsum(durations)]).tolist()
     window_start: dict[int, float] = {}
     last_end: dict[int, float] = {}
     read_ends: dict[int, list[float]] = {}
-    for s, step in enumerate(program.steps):
+    for start, step in zip(starts, program.steps):
         for action in step.actions:
-            end = starts[s] + action.duration
+            end = start + action.duration
+            init = action.kind == "init"
+            read = action.kind in ("read_single", "read_pair")
             for m in action.molecules:
-                if action.kind == "init":
-                    window_start[m] = max(window_start.get(m, 0.0), end)
-                last_end[m] = max(last_end.get(m, 0.0), end)
-                if action.kind in ("read_single", "read_pair"):
+                if init:
+                    prior = window_start.get(m, 0.0)
+                    window_start[m] = end if end > prior else prior
+                prior = last_end.get(m, 0.0)
+                last_end[m] = end if end > prior else prior
+                if read:
                     read_ends.setdefault(m, []).append(end)
 
     elapsed, read_counts = {}, {}

@@ -20,6 +20,14 @@ the dict tree whose `json.dumps(..., sort_keys=True, indent=2)` the CLI's
 writer must match byte for byte. `state_json` is the matching list of
 (re, im) amplitude pairs that the package carried as `register.state_json`.
 
+`reference_time_budget` is `time_budget` as it ran on numpy scalars: the
+step starts came from `np.concatenate` over `np.cumsum`, so every end
+time, elapsed value and read end was a numpy float, and each running
+latest end was kept with `max()` over mixed numpy and Python scalars.
+The package now walks the same cumulative sums as Python floats and
+compares with `>`; its report must match this one value for value, down
+to `float.hex`, with the same key order.
+
 `align_global_phase` and `states_equal` compare states up to a global
 phase; the package exported them before it kept only the names its own
 code calls.
@@ -36,9 +44,10 @@ from dotmol.measurement import (_measurement_sweep, qpc_read_pair, qpc_read_sing
 from dotmol.physics import MoleculeParams, full_sweep
 from dotmol.register import (EncodedRegisterState, Rotation, apply_rotation,
                              ising_phase, phase_from_waveform, product_state)
-from dotmol.scheduler import (Action, CompileError, RuleViolation, ScheduleProgram,
-                              ScheduleStep, _gate_pulse, _gate_ramp, _lower,
-                              _reset_to_singlet)
+from dotmol.scheduler import (ECHO_FACTOR, READ_LIMIT_MESSAGE, Action, BudgetReport,
+                              BudgetViolation, CompileError, RuleViolation,
+                              ScheduleProgram, ScheduleStep, _gate_pulse, _gate_ramp,
+                              _lower, _reset_to_singlet)
 
 
 def init_schedule(topology: Topology, params: MoleculeParams | None = None) -> ScheduleProgram:
@@ -174,6 +183,47 @@ def validate_program(program: ScheduleProgram,
                     {m for xy in close for m in xy})),
                     f"step {s}: {text} on adjacent molecules {pairs}"))
     return out
+
+
+def reference_time_budget(program: ScheduleProgram, params: MoleculeParams,
+                          echo: bool = False) -> BudgetReport:
+    """Per-molecule wall time from initialization to last action vs T2.
+
+    The coherence limit is coherence_time, times ECHO_FACTOR when the echo
+    flag is set. Beyond the elapsed-time check, at most one QPC read fits
+    in a coherence window: two reads whose span overruns one window from
+    the molecule's start are flagged.
+    """
+    limit = params.coherence_time * (ECHO_FACTOR if echo else 1.0)
+    starts = np.concatenate([[0.0], np.cumsum([s.duration for s in program.steps])])
+    window_start: dict[int, float] = {}
+    last_end: dict[int, float] = {}
+    read_ends: dict[int, list[float]] = {}
+    for s, step in enumerate(program.steps):
+        for action in step.actions:
+            end = starts[s] + action.duration
+            for m in action.molecules:
+                if action.kind == "init":
+                    window_start[m] = max(window_start.get(m, 0.0), end)
+                last_end[m] = max(last_end.get(m, 0.0), end)
+                if action.kind in ("read_single", "read_pair"):
+                    read_ends.setdefault(m, []).append(end)
+
+    elapsed, read_counts = {}, {}
+    violations = []
+    for m in sorted(last_end):
+        t0 = window_start.get(m, 0.0)
+        elapsed[m] = last_end[m] - t0
+        read_counts[m] = len(read_ends.get(m, []))
+        if elapsed[m] > limit:
+            violations.append(BudgetViolation(
+                m, "coherence-budget",
+                f"molecule {m} is busy for {elapsed[m]:.3g} ns, over the "
+                f"{limit:.3g} ns coherence window"))
+        if read_counts[m] >= 2 and max(read_ends[m]) - t0 > limit:
+            violations.append(BudgetViolation(m, "qpc-read-limit",
+                                              READ_LIMIT_MESSAGE))
+    return BudgetReport(limit, elapsed, read_counts, tuple(violations))
 
 
 def reference_simulate_program(program: ScheduleProgram, g: LayoutGeometry,

@@ -290,6 +290,60 @@ def test_non_object_sections_are_named(tmp_path, capsys, config, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+COMPILE_SCENARIO = {"kind": "compile", "circuit": "c.txt"}
+
+
+@pytest.mark.parametrize("config,message", [
+    (dict(BASE, typo_seed=3, scenario=BELL_SCENARIO),
+     "config key 'typo_seed' is not known"),
+    (dict(BASE, geometry={"topology": {"kind": "line", "n": 2, "rows": "x"}},
+          scenario=BELL_SCENARIO),
+     "topology key 'rows' is not known for kind 'line'"),
+    (dict(BASE, geometry={"topology": {"kind": "grid", "rows": 1, "cols": 2, "n": 2}},
+          scenario=BELL_SCENARIO),
+     "topology key 'n' is not known for kind 'grid'"),
+    (dict(BASE, geometry={"topology": {"n": 2, "diagonal": True}}, scenario=BELL_SCENARIO),
+     "topology key 'diagonal' is not known for kind 'line'"),
+    (dict(BASE, scenario=dict(COMPILE_SCENARIO, extra=1)),
+     "scenario key 'extra' is not known for kind 'compile'"),
+    (dict(BASE, scenario=dict(BELL_SCENARIO, trails=9)),
+     "scenario key 'trails' is not known for kind 'bell'"),
+    (dict(BASE, scenario={"kind": "sweep", "parameter": "epsilon", "observable": "h_cc",
+                          "start": 0.0, "stop": 1.0, "points": 3, "input": "phi_plus"}),
+     "scenario key 'input' is not known for kind 'sweep'"),
+], ids=["top_level", "line_rows", "grid_n", "default_line_diagonal", "compile_extra",
+        "bell_trails", "sweep_input"])
+def test_unknown_keys_are_refused_by_name(tmp_path, capsys, config, message):
+    (tmp_path / "c.txt").write_text("CZ 0 1\n")
+    path = tmp_path / "r.json"
+    path.write_text(json.dumps(config))
+    assert main(["--config", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_every_documented_key_loads(tmp_path):
+    """The README's full example, with each scenario kind's keys."""
+    (tmp_path / "c.txt").write_text("CZ 0 1\n")
+    full = {"geometry": {"topology": {"kind": "line", "n": 4},
+                         "intra_dot_distance": 20.0, "inter_molecule_distance": 200.0,
+                         "layout": "perpendicular", "relative_permittivity": 12.9},
+            "params": {"tunnel_coupling": 10.0, "charging_energy": 5000.0,
+                       "g_factor": 0.44, "nuclear_field": 3.0, "coherence_time": 10.0},
+            "seed": 42, "format": "json", "echo": False, "safety_factor": 10.0}
+    scenarios = [dict(COMPILE_SCENARIO, kind="simulate"), COMPILE_SCENARIO, BELL_SCENARIO,
+                 {"kind": "sweep", "parameter": "epsilon", "observable": "h_cc",
+                  "start": 0.0, "stop": 1.0, "points": 3}]
+    for scenario in scenarios:
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(dict(full, scenario=scenario)))
+        assert load_config(path).scenario == scenario
+    grid = dict(full, geometry={"topology": {"kind": "grid", "rows": 2, "cols": 2,
+                                             "diagonal": False}},
+                scenario=BELL_SCENARIO)
+    path.write_text(json.dumps(grid))
+    assert load_config(path).geometry.topology.size == 4
+
+
 @pytest.mark.parametrize("blob", [b'{"seed": "\xff"}', b"[" * 100_000],
                          ids=["not_utf8", "nested_too_deep"])
 def test_unreadable_config_exits_one_without_traceback(tmp_path, capsys, blob):

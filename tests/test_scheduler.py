@@ -76,6 +76,15 @@ def test_compile_rejects_bad_circuits(params):
         compile_circuit([Gate("h", (5,))], g, params)
 
 
+def test_compile_reports_the_first_bad_gate_in_data_order(params):
+    g = LayoutGeometry(topology=Topology.line(4))
+    good, far, missing = Gate("cz", (0, 1)), Gate("cz", (0, 2)), Gate("h", (7,))
+    with pytest.raises(CompileError, match=r"non-adjacent molecules \(0, 2\)"):
+        compile_circuit([good, good, far, good, missing, far], g, params)
+    with pytest.raises(CompileError, match=r"h on \(7,\) is out of range"):
+        compile_circuit([good, missing, far, missing, good], g, params)
+
+
 def test_compile_cnot_structure(geometry, params):
     program = compile_circuit([Gate("cnot", (0, 1))], geometry, params)
     kinds = [a.kind for step in program.steps for a in step.actions]
@@ -348,6 +357,76 @@ def test_validation_matches_all_pairs_reference(params):
                      "adjacent-init", "unintended-02-adjacency"}
 
 
+def splice_violations(program, topology):
+    """program with one rule-breaking step inserted at each of a few known
+    step numbers; returns it and the (step, rule) of every finding. Each
+    inserted step also rotates every molecule it does not otherwise use,
+    so it is long and breaks one rule once. Rotations displace no charge,
+    so the overlaps and missing molecules carried by rotations meet no
+    neighbour set."""
+    n, cols = topology.size, topology.cols
+    pulse = next(a for step in program.steps for a in step.actions
+                 if a.kind == "sweep_pair")
+
+    def rotate(m):
+        return Action("rotate", (m,), duration=0.0, rotation=Rotation.hadamard())
+
+    def one(kind, m):
+        return Action(kind, (m,), duration=1.0)
+
+    breaks = [
+        ("overlapping-actions", [rotate(5), rotate(5)]),
+        ("overlapping-actions", [one("init", 7), rotate(7)]),
+        ("molecule-out-of-range", [rotate(-1)]),
+        ("molecule-out-of-range", [rotate(n)]),
+        # the later action of each pair holds the smaller molecule
+        ("adjacent-read", [one("read_single", 1), one("read_single", 0)]),
+        ("adjacent-init", [one("init", cols), one("init", 0)]),
+        # the adjacent pair of sweeps follows one that is clear of both
+        ("unintended-02-adjacency", [replace(pulse, molecules=(4 * cols, 4 * cols + 1)),
+                                     replace(pulse, molecules=(0, 1)),
+                                     replace(pulse, molecules=(2, 3))]),
+    ]
+    steps = list(program.steps)
+    expected = []
+    for k, (rule, actions) in enumerate(breaks):
+        used = {m for a in actions for m in a.molecules}
+        filler = [rotate(m) for m in range(n) if m not in used]
+        half = len(filler) // 2
+        at = 30 * (k + 1)
+        steps.insert(at, ScheduleStep((*filler[:half], *actions, *filler[half:])))
+        expected.append((at, rule))
+    return ScheduleProgram(tuple(steps), n), expected
+
+
+def test_validation_matches_reference_on_long_programs(params):
+    # initialization and a long random circuit, packed as simulate packs
+    # them: hundreds of steps, many of them long, all clean
+    topology = Topology.grid(6, 6)
+    adjacency = topology.adjacency()
+    rng = np.random.default_rng(517)
+    compiled = compile_circuit(random_circuit(rng, topology, length=(600, 601)),
+                               LayoutGeometry(topology=topology), params)
+    program = ScheduleProgram(init_schedule(topology, params).steps + compiled.steps,
+                              topology.size)
+    assert len(program.steps) > 200 and validate_program(program, adjacency) == []
+    spliced, expected = splice_violations(program, topology)
+    findings = validate_program(spliced, adjacency)
+    assert findings == reference.validate_program(spliced, adjacency)
+    assert [(v.step, v.rule) for v in findings] == expected
+
+    # adjacency sets that no topology builds: a strict subset, some pairs
+    # written (j, i), and self-pairs (i, i)
+    pairs = sorted(adjacency)
+    subset = frozenset(p for p in pairs if rng.random() < 0.7)
+    flipped = frozenset((j, i) if k % 3 == 0 else (i, j) for k, (i, j) in enumerate(pairs))
+    self_pairs = adjacency | {(m, m) for m in range(0, topology.size, 5)}
+    for odd in (subset, flipped, self_pairs):
+        for candidate in (program, spliced):
+            assert (validate_program(candidate, odd)
+                    == reference.validate_program(candidate, odd))
+
+
 def one_step(*actions):
     return ScheduleProgram((ScheduleStep(tuple(actions)),), 6)
 
@@ -438,6 +517,61 @@ def test_budget_one_read_fits_the_echo_window(geometry, params):
     report = time_budget(program, params, echo=True)
     assert report.ok
     assert report.read_counts[0] == 1
+
+
+def assert_budget_as_reference(program, params, echo):
+    report = time_budget(program, params, echo=echo)
+    expected = reference.reference_time_budget(program, params, echo=echo)
+    assert list(report.elapsed) == list(expected.elapsed)
+    assert ([float.hex(t) for t in report.elapsed.values()]
+            == [float.hex(t) for t in expected.elapsed.values()])
+    assert list(report.read_counts.items()) == list(expected.read_counts.items())
+    assert report.violations == expected.violations
+    assert report.limit == expected.limit
+    return report
+
+
+def test_budget_matches_numpy_reference(params):
+    rng = np.random.default_rng(519)
+    programs = [ScheduleProgram((), 3),
+                # steps of zero duration, before, between and after timed
+                # ones; integer durations still give float times
+                ScheduleProgram((ScheduleStep(()),
+                                 ScheduleStep((Action("init", (0,), duration=0.0),
+                                               Action("rotate", (2,), duration=0))),
+                                 ScheduleStep((Action("init", (1,), duration=2.5),)),
+                                 ScheduleStep((Action("rotate", (1,), duration=0.0),)),
+                                 ScheduleStep((Action("read_single", (1,), duration=0.0),)),
+                                 ScheduleStep((Action("read_single", (0,), duration=3),))),
+                                3)]
+    for topology in reference_topologies(rng, 40):
+        g = LayoutGeometry(topology=topology)
+        compiled = compile_circuit(random_circuit(rng, topology, length=(10, 120)),
+                                   g, params)
+        programs += [compiled, ScheduleProgram(
+            init_schedule(topology, params).steps + compiled.steps, topology.size)]
+    kinds = {a.kind for p in programs for step in p.steps for a in step.actions}
+    assert kinds == {"init", "rotate", "sweep_pair", "read_single", "read_pair"}
+    rules = set()
+    for program in programs:
+        for echo in (False, True):
+            rules.update(v.rule for v in
+                         assert_budget_as_reference(program, params, echo).violations)
+    assert rules == {"coherence-budget", "qpc-read-limit"}
+
+
+def test_budget_and_pulse_timings_are_python_floats(geometry, params):
+    program = compile_circuit([Gate("cnot", (0, 1)), Gate("cz", (0, 1)),
+                               Gate("bell", (0, 1)), Gate("measure", (1,))],
+                              geometry, params)
+    sweeps = [a for step in program.steps for a in step.actions
+              if a.kind == "sweep_pair"]
+    assert len(sweeps) == 2
+    for sweep in sweeps:
+        assert type(sweep.hold) is float and type(sweep.duration) is float
+    for echo in (False, True):
+        report = time_budget(program, params, echo=echo)
+        assert report.elapsed and all(type(t) is float for t in report.elapsed.values())
 
 
 def test_schedule_json_round_trip(params):
