@@ -59,71 +59,109 @@ class RunConfig:
     out_format: str = "json"
     echo: bool = False
 
-    def __post_init__(self):
-        if self.out_format not in ("json", "csv"):
-            raise ConfigError(f"format must be json or csv, not {self.out_format!r}")
-        if self.out_format == "csv" and self.scenario.get("kind") == "compile":
-            raise ConfigError("scenario 'compile' has no CSV rendering; use json")
+
+# The config schema: each section maps its keys to (check, default). A check
+# is bool, int, float (finite), str, a tuple of the strings allowed, a range
+# of the integers allowed, or the table of a nested section; a section's
+# "kind" maps each kind to the further keys it takes. Default ... marks a
+# required key, None a key whose default is the library's. params and
+# geometry take the fields of MoleculeParams and LayoutGeometry.
+_SCHEMA = {
+    "geometry": ({
+        **{f.name: (float, None) for f in fields(LayoutGeometry)},
+        "layout": (str, None),
+        "topology": ({"kind": ({
+            "line": {"n": (int, 2)},
+            "grid": {"rows": (int, ...), "cols": (int, ...), "diagonal": (bool, None)},
+        }, "line")}, None),
+    }, None),
+    "params": ({f.name: (float, None) for f in fields(MoleculeParams)
+                if f.name != "safety_factor"}, None),
+    "scenario": ({"kind": ({
+        "simulate": {"circuit": (str, ...)},
+        "compile": {"circuit": (str, ...)},
+        "bell": {"input": (BELL_LABELS, ...),
+                 "trials": (range(1, BELL_TRIAL_LIMIT + 1), ...)},
+        "sweep": {"parameter": (str, ...), "observable": (str, ...),
+                  "start": (float, ...), "stop": (float, ...),
+                  "points": (range(2, SWEEP_POINT_LIMIT + 1), ...)},
+    }, ...)}, ...),
+    "seed": (int, None),
+    "format": (("json", "csv"), None),
+    "echo": (bool, None),
+    # the sweep margin is set at the top level and kept in MoleculeParams
+    "safety_factor": (float, None),
+}
 
 
-# the keys the config and each kind of scenario may hold
-_CONFIG_KEYS = frozenset({"geometry", "params", "scenario", "seed", "format", "echo",
-                          "safety_factor"})
-_SCENARIO_KEYS = {"simulate": frozenset({"kind", "circuit"}),
-                  "compile": frozenset({"kind", "circuit"}),
-                  "bell": frozenset({"kind", "input", "trials"}),
-                  "sweep": frozenset({"kind", "parameter", "observable", "start",
-                                      "stop", "points"})}
-
-
-def _check_keys(values: dict, known, section: str, kind: str | None = None):
-    """Refuse the first key of values that is not in known, by name."""
+def _section(values, name: str, keys: dict) -> dict:
+    """values, a section named name, checked against its table keys: the
+    given keys' values, converted, plus the table's defaults. A key the
+    table does not hold is refused by name."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{name} must be a JSON object, not {type(values).__name__}")
+    checked, where = {}, ""
+    if "kind" in keys:
+        kinds, default = keys["kind"]
+        kind = values.get("kind", default)
+        if kind is ...:
+            raise ConfigError(f"{name} key 'kind' is required")
+        if not isinstance(kind, str) or kind not in kinds:
+            raise ConfigError(f"unknown {name} kind {kind!r}")
+        checked["kind"], keys, where = kind, kinds[kind], f" for kind {kind!r}"
     for key in values:
-        if key not in known:
-            where = f" for kind {kind!r}" if kind is not None else ""
-            raise ConfigError(f"{section} key {key!r} is not known{where}")
+        if key not in keys and key not in checked:
+            if key in _SCHEMA:
+                raise ConfigError(f"{key} is a top-level key, not a {name} key")
+            raise ConfigError(f"{name} key {key!r} is not known{where}")
+    for key, (check, default) in keys.items():
+        if key in values:
+            checked[key] = _check_value(check, values[key], name, key)
+        elif default is ...:
+            raise ConfigError(f"{name} key {key!r} is required{where}")
+        elif default is not None:
+            checked[key] = default
+    return checked
 
 
-def _build_topology(data) -> Topology:
-    _check_object(data, "topology")
-    kind = data.get("kind", "line")
-    if kind == "line":
-        _check_keys(data, ("kind", "n"), "topology", kind)
-        return Topology.line(_scalar(int, data.get("n", 2), "n"))
-    if kind == "grid":
-        _check_keys(data, ("kind", "rows", "cols", "diagonal"), "topology", kind)
-        return Topology.grid(_scalar(int, data.get("rows"), "rows"),
-                             _scalar(int, data.get("cols"), "cols"),
-                             diagonal=_flag(data.get("diagonal", True), "diagonal"))
-    raise ConfigError(f"unknown topology kind {kind!r}")
+def _check_value(check, value, section: str, key: str):
+    """value as check allows it; anything else is a ConfigError naming the
+    key. A number is never a JSON boolean, and an integer key refuses what
+    int() would change: 2.5, or the string "3"."""
+    if isinstance(check, dict):
+        return _section(value, key, check)
+    if check is bool or check is str:
+        if isinstance(value, check):
+            return value
+        expected = "true or false" if check is bool else "a string"
+    elif isinstance(check, tuple):
+        if isinstance(value, str) and value in check:
+            return value
+        expected = "one of " + ", ".join(map(repr, check))
+    else:
+        number = None
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            try:
+                number = float(value) if check is float else int(value)
+            except (ValueError, OverflowError):
+                pass
+        if check is float:
+            if number is not None and math.isfinite(number):
+                return number
+            expected = "a finite number"
+        else:
+            if number is not None and number == value and (check is int or number in check):
+                return number
+            expected = ("an integer" if check is int else
+                        f"an integer from {check.start} to {check.stop - 1}")
+    raise ConfigError(f"{section} key {key!r} must be {expected}, not {value!r}")
 
 
-def _flag(value, key: str) -> bool:
-    """A JSON boolean; anything else, "false" included, is a ConfigError."""
-    if not isinstance(value, bool):
-        raise ConfigError(f"{key} must be true or false, not {value!r}")
-    return value
-
-
-def _scalar(convert, value, key: str):
-    """convert(value), with a failed conversion reported as a ConfigError.
-    A JSON boolean is not a number, although int(True) succeeds, and an
-    int key refuses what int() would change: 2.5, or the string "3"."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError("a boolean is not a number")
-        converted = convert(value)
-        if convert is int and converted != value:
-            raise ValueError("int() would change it")
-        return converted
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"{key} must be {convert.__name__}, not {value!r}") from exc
-
-
-def _check_object(value, section: str):
-    """A config section must be a JSON object."""
-    if not isinstance(value, dict):
-        raise ConfigError(f"{section} must be a JSON object, not {type(value).__name__}")
+def _circuit_path(config_dir: Path, circuit: str) -> Path:
+    """The circuit file: in the config's directory if it is there, else
+    relative to the working directory."""
+    path = config_dir / circuit
+    return path if path.is_file() else Path(circuit)
 
 
 def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
@@ -132,73 +170,30 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config file {path} does not exist")
     try:
         data = json.loads(path.read_text())
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: bad syntax, bytes that are not UTF-8, or an integer
+        # too long for int()
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config must be a JSON object, not {type(data).__name__}")
-    _check_keys(data, _CONFIG_KEYS, "config")
-    overrides = overrides or {}
-    # the sweep margin is set at the top level and kept in MoleculeParams
-    margin = ({"safety_factor": _scalar(float, data["safety_factor"], "safety_factor")}
-              if "safety_factor" in data else {})
+    data = _section(data, "config", _SCHEMA)
     geometry, params = data.get("geometry", {}), data.get("params", {})
-    for section, values, cls in (("params", params, MoleculeParams),
-                                 ("geometry", geometry, LayoutGeometry)):
-        _check_object(values, section)
-        _check_keys(values, {f.name for f in fields(cls)}, section)
-        for key, value in values.items():
-            if isinstance(value, bool) and key not in ("layout", "topology"):
-                raise ConfigError(f"{section} key {key!r} must be a number, not {value!r}")
-    if "safety_factor" in params:
-        raise ConfigError("safety_factor is a top-level key, not a params key")
+    if "safety_factor" in data:
+        params["safety_factor"] = data["safety_factor"]
     try:
-        geometry = LayoutGeometry(
-            topology=_build_topology(geometry.get("topology", {})),
-            **{k: v for k, v in geometry.items() if k != "topology"})
-        params = MoleculeParams(**params, **margin)
-    except (AttributeError, TypeError, ValueError) as exc:
+        if "topology" in geometry:
+            geometry["topology"] = Topology(**geometry["topology"])
+        geometry, params = LayoutGeometry(**geometry), MoleculeParams(**params)
+    except ValueError as exc:
         raise ConfigError(f"bad geometry or params: {exc}") from exc
-    scenario = data.get("scenario")
-    if not isinstance(scenario, dict) or "kind" not in scenario:
-        raise ConfigError("config needs a scenario object with a 'kind'")
-    if scenario["kind"] not in ("simulate", "compile", "bell", "sweep"):
-        raise ConfigError(f"unknown scenario kind {scenario['kind']!r}")
-    _validate_scenario(scenario, path.parent)
-    cfg = dict(
-        seed=_scalar(int, data.get("seed", 0), "seed"),
-        out_format=str(data.get("format", "json")),
-        echo=_flag(data.get("echo", False), "echo"),
-    )
-    for key in ("seed", "out_format", "echo"):
-        if overrides.get(key) is not None:
-            cfg[key] = overrides[key]
-    return RunConfig(geometry=geometry, params=params, scenario=scenario, **cfg)
-
-
-def _validate_scenario(scenario: dict, base: Path):
-    kind = scenario["kind"]
-    _check_keys(scenario, _SCENARIO_KEYS[kind], "scenario", kind)
-    if kind in ("simulate", "compile"):
-        circuit = scenario.get("circuit")
-        if not isinstance(circuit, str) or not circuit:
-            raise ConfigError(f"{kind} scenario needs a 'circuit' file")
-        if not (base / circuit).is_file() and not Path(circuit).is_file():
-            raise ConfigError(f"circuit file {circuit!r} does not exist")
-    elif kind == "bell":
-        if scenario.get("input") not in BELL_LABELS:
-            raise ConfigError(f"bell scenario needs input in {BELL_LABELS}")
-        if not 1 <= _scalar(int, scenario.get("trials", 0), "trials") <= BELL_TRIAL_LIMIT:
-            raise ConfigError(f"bell scenario needs 1 <= trials <= {BELL_TRIAL_LIMIT}")
-    elif kind == "sweep":
-        for key in ("start", "stop"):
-            value = scenario.get(key)
-            if (isinstance(value, bool) or not isinstance(value, (int, float))
-                    or not math.isfinite(value)):
-                raise ConfigError(f"sweep scenario needs finite {key!r}")
-        if not 2 <= _scalar(int, scenario.get("points", 0), "points") <= SWEEP_POINT_LIMIT:
-            raise ConfigError(f"sweep scenario needs 2 <= points <= {SWEEP_POINT_LIMIT}")
-        if not all(isinstance(scenario.get(k), str) for k in ("parameter", "observable")):
-            raise ConfigError("sweep scenario needs 'parameter' and 'observable' strings")
+    scenario = data["scenario"]
+    if "circuit" in scenario and not _circuit_path(path.parent, scenario["circuit"]).is_file():
+        raise ConfigError(f"circuit file {scenario['circuit']!r} does not exist")
+    given = {"seed": data.get("seed"), "out_format": data.get("format"),
+             "echo": data.get("echo")}
+    settings = {key: value for source in (given, overrides or {})
+                for key, value in source.items() if value is not None}
+    if scenario["kind"] == "compile" and settings.get("out_format") == "csv":
+        raise ConfigError("scenario 'compile' has no CSV rendering; use json")
+    return RunConfig(geometry=geometry, params=params, scenario=scenario, **settings)
 
 
 def parse_circuit(text: str) -> list[Gate]:
@@ -267,9 +262,8 @@ def _budget_json(report) -> dict:
 
 def _load_gates(config: RunConfig, config_dir: Path) -> list[Gate]:
     circuit = config.scenario["circuit"]
-    path = (config_dir / circuit) if (config_dir / circuit).is_file() else Path(circuit)
     try:
-        text = path.read_text()
+        text = _circuit_path(config_dir, circuit).read_text()
     except (UnicodeDecodeError, OSError) as exc:
         raise ConfigError(f"cannot read circuit file {circuit!r}: {exc}") from exc
     return parse_circuit(text)
@@ -306,7 +300,7 @@ def _run_simulate(config: RunConfig, config_dir: Path) -> tuple[int, dict]:
 
 def _run_bell(config: RunConfig) -> tuple[int, dict]:
     label = config.scenario["input"]
-    trials = int(config.scenario["trials"])
+    trials = config.scenario["trials"]
     if config.geometry.topology.size < 2:
         raise ValueError("bell scenario needs at least two molecules")
     # the protocol up to its two draws is fixed by the input; trials only
@@ -344,7 +338,7 @@ _DISTANCE_OBSERVABLES = {
 def _run_sweep(config: RunConfig) -> tuple[int, dict]:
     sc = config.scenario
     parameter, observable = sc["parameter"], sc["observable"]
-    start, stop, points = float(sc["start"]), float(sc["stop"]), int(sc["points"])
+    start, stop, points = sc["start"], sc["stop"], sc["points"]
     values = [start + (stop - start) * k / (points - 1) for k in range(points)]
     rows = []
     if parameter == "epsilon":
@@ -567,7 +561,7 @@ def _render(payload: dict, out_format: str) -> bytes:
         tails = [[row["input"], row["round1"], row["round2"] or "",
                   row["classification"], repr(row["phi"])] for row in payload["leaves"]]
         writer.writerows([trial, seed, *tails[leaf]] for trial, seed, leaf in payload["outcomes"])
-    else:  # simulate; RunConfig refuses CSV for compile
+    else:  # simulate; load_config refuses CSV for compile
         writer.writerow(["index", "re", "im"])
         halves = iter(_flat_amplitudes(payload["final_state"]))
         for index, (re, im) in enumerate(zip(halves, halves)):
@@ -602,7 +596,7 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="JSON run configuration")
     parser.add_argument("--seed", type=int, default=None, help="override root seed")
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=("json", "csv"), default=None,
+    parser.add_argument("--format", choices=_SCHEMA["format"][0], default=None,
                         help="override output format")
     parser.add_argument("--echo", action="store_true", default=None,
                         help="budget against the echo-extended coherence window")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -82,8 +82,9 @@ class Action:
 class ScheduleStep:
     actions: tuple[Action, ...]
 
-    @property
+    @cached_property
     def duration(self) -> float:
+        # taken once per step: the budget and the render both read it
         return max((a.duration for a in self.actions), default=0.0)
 
 
@@ -231,6 +232,7 @@ def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams) -> Schedul
     gates on non-adjacent molecules are compile errors (no routing). Bell
     measurements schedule both rounds (the static worst case).
     """
+    gates = list(gates)  # walked twice: checked, then lowered
     size = g.topology.size
     neighbors = g.topology.neighbor_table()
     # each distinct gate object once, in first-occurrence order

@@ -197,54 +197,67 @@ def test_load_config_overrides(tmp_path):
 BELL_SCENARIO = {"kind": "bell", "input": "psi_plus", "trials": 2}
 
 
-@pytest.mark.parametrize("config", [
-    dict(BASE, scenario=dict(BELL_SCENARIO, trials="abc")),
-    dict(BASE, scenario=BELL_SCENARIO, seed="x"),
-    dict(BASE, scenario=BELL_SCENARIO, safety_factor=None),
-    [dict(BASE, scenario=BELL_SCENARIO)],
-    dict(BASE, scenario={"kind": "compile", "circuit": 5}),
-    dict(BASE, scenario={"kind": "simulate", "circuit": ["c.txt"]}),
-    dict(BASE, scenario=BELL_SCENARIO, echo="false"),
-    dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {
-        "kind": "grid", "rows": 1, "cols": 2, "diagonal": "false"}}),
-    dict(BASE, scenario=BELL_SCENARIO, safety_factor="nan"),
-    dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {"kind": "line", "n": 1e400}}),
-    dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {"kind": "grid", "cols": 2}}),
-    dict(BASE, scenario=BELL_SCENARIO, params={"g_factor": "x"}),
-    dict(BASE, scenario=BELL_SCENARIO, params={"coherence_time": math.nan}),
-    dict(BASE, scenario=BELL_SCENARIO, geometry={"relative_permittivity": math.nan}),
-    dict(BASE, scenario={"kind": "sweep", "parameter": "epsilon", "observable": ["h_cc"],
-                         "start": 0.0, "stop": 1.0, "points": 2}),
-    dict(BASE, scenario=BELL_SCENARIO, params={"tunnel\ncoupling": 1.0}),
+SWEEP_SCENARIO = {"kind": "sweep", "parameter": "epsilon", "observable": "h_cc",
+                  "start": 0.0, "stop": 1.0, "points": 2}
+
+
+@pytest.mark.parametrize("config,key", [
+    (dict(BASE, scenario=dict(BELL_SCENARIO, trials="abc")), "trials"),
+    (dict(BASE, scenario=BELL_SCENARIO, seed="x"), "seed"),
+    (dict(BASE, scenario=BELL_SCENARIO, safety_factor=None), "safety_factor"),
+    ([dict(BASE, scenario=BELL_SCENARIO)], None),
+    (dict(BASE, scenario={"kind": "compile", "circuit": 5}), "circuit"),
+    (dict(BASE, scenario={"kind": "simulate", "circuit": ["c.txt"]}), "circuit"),
+    (dict(BASE, scenario=BELL_SCENARIO, echo="false"), "echo"),
+    (dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {
+        "kind": "grid", "rows": 1, "cols": 2, "diagonal": "false"}}), "diagonal"),
+    (dict(BASE, scenario=BELL_SCENARIO, safety_factor="nan"), "safety_factor"),
+    (dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {"kind": "line", "n": 1e400}}),
+     "n"),
+    (dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {"kind": "grid", "cols": 2}}),
+     "rows"),
+    (dict(BASE, scenario=BELL_SCENARIO, params={"g_factor": "x"}), "g_factor"),
+    (dict(BASE, scenario=BELL_SCENARIO, params={"coherence_time": math.nan}),
+     "coherence_time"),
+    (dict(BASE, scenario=BELL_SCENARIO, geometry={"relative_permittivity": math.nan}),
+     "relative_permittivity"),
+    (dict(BASE, scenario=dict(SWEEP_SCENARIO, observable=["h_cc"])), "observable"),
+    (dict(BASE, scenario=BELL_SCENARIO, params={"tunnel\ncoupling": 1.0}), "tunnel\\ncoupling"),
     # JSON booleans are not numbers, although int(True) succeeds
-    dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {"kind": "line", "n": True}}),
-    dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {
-        "kind": "grid", "rows": True, "cols": 2}}),
-    dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {
-        "kind": "grid", "rows": 2, "cols": True}}),
-    dict(BASE, scenario=BELL_SCENARIO, seed=True),
-    dict(BASE, scenario=dict(BELL_SCENARIO, trials=True)),
-    dict(BASE, scenario={"kind": "sweep", "parameter": "epsilon", "observable": "h_cc",
-                         "start": 0.0, "stop": 1.0, "points": True}),
-    dict(BASE, scenario=BELL_SCENARIO, safety_factor=True),
-    dict(BASE, scenario={"kind": "sweep", "parameter": "epsilon", "observable": "h_cc",
-                         "start": False, "stop": 1.0, "points": 3}),
+    (dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {"kind": "line", "n": True}}),
+     "n"),
+    (dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {
+        "kind": "grid", "rows": True, "cols": 2}}), "rows"),
+    (dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {
+        "kind": "grid", "rows": 2, "cols": True}}), "cols"),
+    (dict(BASE, scenario=BELL_SCENARIO, seed=True), "seed"),
+    (dict(BASE, scenario=dict(BELL_SCENARIO, trials=True)), "trials"),
+    (dict(BASE, scenario=dict(SWEEP_SCENARIO, points=True)), "points"),
+    (dict(BASE, scenario=BELL_SCENARIO, safety_factor=True), "safety_factor"),
+    (dict(BASE, scenario=dict(SWEEP_SCENARIO, start=False, points=3)), "start"),
     # true would load as 1.0, a valid value for each of these keys
-    dict(BASE, scenario=BELL_SCENARIO, params={"coherence_time": True}),
-    dict(BASE, scenario=BELL_SCENARIO, params={"tunnel_coupling": True}),
-    dict(BASE, scenario=BELL_SCENARIO, geometry={"relative_permittivity": True}),
-    dict(BASE, scenario=BELL_SCENARIO, geometry={"intra_dot_distance": True}),
+    (dict(BASE, scenario=BELL_SCENARIO, params={"coherence_time": True}), "coherence_time"),
+    (dict(BASE, scenario=BELL_SCENARIO, params={"tunnel_coupling": True}), "tunnel_coupling"),
+    (dict(BASE, scenario=BELL_SCENARIO, geometry={"relative_permittivity": True}),
+     "relative_permittivity"),
+    (dict(BASE, scenario=BELL_SCENARIO, geometry={"intra_dot_distance": True}),
+     "intra_dot_distance"),
     # int keys refuse what int() would change; 2 and 2.0 still load
-    dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {"kind": "line", "n": 2.7}}),
-    dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {
-        "kind": "grid", "rows": 1.5, "cols": 2}}),
-    dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {
-        "kind": "grid", "rows": 1, "cols": 2.5}}),
-    dict(BASE, scenario=BELL_SCENARIO, seed=1.5),
-    dict(BASE, scenario=BELL_SCENARIO, seed="3"),
-    dict(BASE, scenario=dict(BELL_SCENARIO, trials=2.9)),
-    dict(BASE, scenario={"kind": "sweep", "parameter": "epsilon", "observable": "h_cc",
-                         "start": 0.0, "stop": 1.0, "points": 2.5}),
+    (dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {"kind": "line", "n": 2.7}}),
+     "n"),
+    (dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {
+        "kind": "grid", "rows": 1.5, "cols": 2}}), "rows"),
+    (dict(BASE, scenario=BELL_SCENARIO, geometry={"topology": {
+        "kind": "grid", "rows": 1, "cols": 2.5}}), "cols"),
+    (dict(BASE, scenario=BELL_SCENARIO, seed=1.5), "seed"),
+    (dict(BASE, scenario=BELL_SCENARIO, seed="3"), "seed"),
+    (dict(BASE, scenario=dict(BELL_SCENARIO, trials=2.9)), "trials"),
+    (dict(BASE, scenario=dict(SWEEP_SCENARIO, points=2.5)), "points"),
+    # a numeric key refuses a number written as a string, and null
+    (dict(BASE, scenario=BELL_SCENARIO, safety_factor="10"), "safety_factor"),
+    (dict(BASE, scenario=BELL_SCENARIO, params={"tunnel_coupling": "10"}), "tunnel_coupling"),
+    (dict(BASE, scenario=BELL_SCENARIO, geometry={"intra_dot_distance": None}),
+     "intra_dot_distance"),
 ], ids=["trials", "seed", "safety_factor", "top_level_array",
         "circuit_number", "circuit_list", "echo_string", "diagonal_string",
         "safety_factor_nan", "n_infinite", "grid_without_rows", "g_factor_string",
@@ -253,14 +266,18 @@ BELL_SCENARIO = {"kind": "bell", "input": "psi_plus", "trials": 2}
         "trials_bool", "points_bool", "safety_factor_bool", "start_bool",
         "coherence_time_bool", "tunnel_coupling_bool", "permittivity_bool",
         "intra_dot_distance_bool", "n_fraction", "rows_fraction", "cols_fraction",
-        "seed_fraction", "seed_string", "trials_fraction", "points_fraction"])
-def test_malformed_scalars_exit_one_without_traceback(tmp_path, capsys, config):
+        "seed_fraction", "seed_string", "trials_fraction", "points_fraction",
+        "safety_factor_string", "tunnel_coupling_string", "intra_dot_distance_null"])
+def test_malformed_scalars_exit_one_without_traceback(tmp_path, capsys, config, key):
     path = tmp_path / "r.json"
     path.write_text(json.dumps(config))
     assert main(["--config", str(path), "--out", str(tmp_path / "o.json")]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "Traceback" not in err
+    # the one line names the key it refuses, quoted as repr() quotes it
+    if key is not None:
+        assert f"'{key}'" in err, err
 
 
 def test_integral_floats_load_as_int_keys(tmp_path):
@@ -311,8 +328,10 @@ COMPILE_SCENARIO = {"kind": "compile", "circuit": "c.txt"}
     (dict(BASE, scenario={"kind": "sweep", "parameter": "epsilon", "observable": "h_cc",
                           "start": 0.0, "stop": 1.0, "points": 3, "input": "phi_plus"}),
      "scenario key 'input' is not known for kind 'sweep'"),
+    # a top-level key inside a section is named as one
+    (dict(BASE, scenario=dict(BELL_SCENARIO, seed=3)), "seed is a top-level key, not a scenario key"),
 ], ids=["top_level", "line_rows", "grid_n", "default_line_diagonal", "compile_extra",
-        "bell_trails", "sweep_input"])
+        "bell_trails", "sweep_input", "seed_in_scenario"])
 def test_unknown_keys_are_refused_by_name(tmp_path, capsys, config, message):
     (tmp_path / "c.txt").write_text("CZ 0 1\n")
     path = tmp_path / "r.json"
@@ -321,18 +340,19 @@ def test_unknown_keys_are_refused_by_name(tmp_path, capsys, config, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+def readme_config() -> dict:
+    """The JSON example under the '### Config' heading of README.md."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n### Config\n", 1)[1]
+    return json.loads(section.split("```json\n", 1)[1].split("```", 1)[0])
+
+
 def test_every_documented_key_loads(tmp_path):
     """The README's full example, with each scenario kind's keys."""
-    (tmp_path / "c.txt").write_text("CZ 0 1\n")
-    full = {"geometry": {"topology": {"kind": "line", "n": 4},
-                         "intra_dot_distance": 20.0, "inter_molecule_distance": 200.0,
-                         "layout": "perpendicular", "relative_permittivity": 12.9},
-            "params": {"tunnel_coupling": 10.0, "charging_energy": 5000.0,
-                       "g_factor": 0.44, "nuclear_field": 3.0, "coherence_time": 10.0},
-            "seed": 42, "format": "json", "echo": False, "safety_factor": 10.0}
-    scenarios = [dict(COMPILE_SCENARIO, kind="simulate"), COMPILE_SCENARIO, BELL_SCENARIO,
-                 {"kind": "sweep", "parameter": "epsilon", "observable": "h_cc",
-                  "start": 0.0, "stop": 1.0, "points": 3}]
+    full = readme_config()
+    for circuit in (full["scenario"]["circuit"], "c.txt"):
+        (tmp_path / circuit).write_text("CZ 0 1\n")
+    scenarios = [full["scenario"], COMPILE_SCENARIO, BELL_SCENARIO, SWEEP_SCENARIO]
     for scenario in scenarios:
         path = tmp_path / "r.json"
         path.write_text(json.dumps(dict(full, scenario=scenario)))
@@ -344,8 +364,9 @@ def test_every_documented_key_loads(tmp_path):
     assert load_config(path).geometry.topology.size == 4
 
 
-@pytest.mark.parametrize("blob", [b'{"seed": "\xff"}', b"[" * 100_000],
-                         ids=["not_utf8", "nested_too_deep"])
+@pytest.mark.parametrize("blob", [b'{"seed": "\xff"}', b"[" * 100_000,
+                                  b'{"seed": ' + b"1" * 5000 + b"}"],
+                         ids=["not_utf8", "nested_too_deep", "integer_too_long"])
 def test_unreadable_config_exits_one_without_traceback(tmp_path, capsys, blob):
     path = tmp_path / "r.json"
     path.write_bytes(blob)

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from schedule_reference import state_json
 
 from dotmol import EncodedRegisterState
-from dotmol.cli import _indented_json, main
+from dotmol.cli import _SCHEMA, _indented_json, main
 
 PROPERTY_SETTINGS = settings(
     max_examples=150, derandomize=True, database=None, deadline=None,
@@ -51,27 +51,32 @@ VALID_CONFIGS = [
                   "observable": "nnn_ratio", "start": 200.0, "stop": 400.0,
                   "points": 2}},
 ]
-# key paths into a config, by section; sizes and counts only get small values
+
+
+def table_paths(keys, prefix=()):
+    """The path of a config section and of every key its schema table
+    holds, each kind's keys included."""
+    paths = {prefix}
+    for key, (check, _) in keys.items():
+        paths.add(prefix + (key,))
+        if key == "kind":
+            for kind_keys in check.values():
+                paths |= table_paths(kind_keys, prefix)
+        elif isinstance(check, dict):
+            paths |= table_paths(check, prefix + (key,))
+    return paths
+
+
+# key paths into a config, by section: every path of the schema table, and
+# keys that no section takes (a margin in params, a seed in a scenario);
+# sizes and counts only get small values
 SIZE_KEYS = {"n", "rows", "cols", "trials", "points"}
-KEY_PATHS = {
-    "geometry": [
-        ("geometry",), ("geometry", "topology"), ("geometry", "topology", "kind"),
-        ("geometry", "topology", "n"), ("geometry", "topology", "rows"),
-        ("geometry", "topology", "cols"), ("geometry", "topology", "diagonal"),
-        ("geometry", "layout"), ("geometry", "intra_dot_distance"),
-        ("geometry", "inter_molecule_distance"),
-        ("geometry", "relative_permittivity"), ("geometry", "spacing")],
-    "params": [
-        ("params",), ("params", "tunnel_coupling"), ("params", "charging_energy"),
-        ("params", "g_factor"), ("params", "nuclear_field"),
-        ("params", "coherence_time"), ("params", "safety_factor"), ("params", "mass")],
-    "scenario": [
-        ("scenario",), ("scenario", "kind"), ("scenario", "circuit"),
-        ("scenario", "input"), ("scenario", "trials"), ("scenario", "parameter"),
-        ("scenario", "observable"), ("scenario", "start"), ("scenario", "stop"),
-        ("scenario", "points")],
-    "run": [(), ("seed",), ("format",), ("echo",), ("safety_factor",)],
-}
+SCHEMA_PATHS = table_paths(_SCHEMA) | {
+    ("geometry", "spacing"), ("params", "mass"), ("params", "safety_factor"),
+    ("scenario", "seed")}
+KEY_PATHS = {section: sorted(path for path in SCHEMA_PATHS if path[:1] == (section,))
+             for section in ("geometry", "params", "scenario")}
+KEY_PATHS["run"] = sorted(SCHEMA_PATHS.difference(*KEY_PATHS.values()))
 DELETE = object()
 # one of each JSON type, words the config uses elsewhere, non-finite floats
 ODD_VALUES = st.sampled_from([

@@ -85,6 +85,27 @@ def test_compile_reports_the_first_bad_gate_in_data_order(params):
         compile_circuit([good, missing, far, missing, good], g, params)
 
 
+def test_compile_takes_any_iterable_of_gates(params):
+    g = LayoutGeometry(topology=Topology.line(3))
+    gates = [Gate("cz", (0, 1)), Gate("h", (2,)), Gate("cz", (0, 1))]
+    program = compile_circuit(gates, g, params)
+    assert len(program.steps) > 0
+    assert compile_circuit(iter(gates), g, params) == program
+    assert compile_circuit((gate for gate in gates), g, params) == program
+    with pytest.raises(CompileError, match="out of range"):
+        compile_circuit(iter([Gate("h", (3,))]), g, params)
+
+
+def test_step_duration_is_kept_out_of_equality_and_repr(geometry, params):
+    program = compile_circuit([Gate("cnot", (0, 1))], geometry, params)
+    for step in program.steps:
+        fresh = ScheduleStep(step.actions)
+        assert step.duration == max(a.duration for a in step.actions)
+        assert step == fresh and hash(step) == hash(fresh)
+        assert repr(step) == repr(fresh)
+    assert ScheduleStep(()).duration == 0.0
+
+
 def test_compile_cnot_structure(geometry, params):
     program = compile_circuit([Gate("cnot", (0, 1))], geometry, params)
     kinds = [a.kind for step in program.steps for a in step.actions]
