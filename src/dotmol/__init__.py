@@ -31,7 +31,7 @@ from .scheduler import (ECHO_FACTOR, READ_LIMIT_MESSAGE, Action,
                         RuleViolation, ScheduleProgram, ScheduleStep,
                         compile_circuit, init_schedule, simulate_program,
                         time_budget, validate_program)
-from .streams import stream_token, substream
+from .streams import stream_token
 
 __all__ = [
     "COULOMB_UEV_NM", "GAAS_RELATIVE_PERMITTIVITY", "HBAR_UEV_NS",
@@ -53,5 +53,5 @@ __all__ = [
     "BudgetViolation", "CompileError", "Gate", "RuleViolation",
     "ScheduleProgram", "ScheduleStep", "compile_circuit", "init_schedule",
     "simulate_program", "time_budget", "validate_program",
-    "stream_token", "substream",
+    "stream_token",
 ]

@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass, fields, replace
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -30,7 +31,7 @@ from .register import EncodedRegisterState, check_register_size
 from .scheduler import (Action, Gate, ScheduleProgram, ScheduleStep,
                         compile_circuit, init_schedule, simulate_program,
                         time_budget, validate_program)
-from .streams import substream, tokens_and_uniforms
+from .streams import tokens_and_uniforms
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -170,6 +171,8 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"config file {path} does not exist")
     try:
         data = json.loads(path.read_text())
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:
         # ValueError: bad syntax, bytes that are not UTF-8, or an integer
         # too long for int()
@@ -287,8 +290,11 @@ def _run_simulate(config: RunConfig, config_dir: Path) -> tuple[int, dict]:
     compiled = compile_circuit(gates, config.geometry, config.params)
     program = ScheduleProgram(prologue.steps + compiled.steps,
                               config.geometry.topology.size)
-    rng = substream(config.seed, "simulate")
-    state, events = simulate_program(program, config.geometry, config.params, rng)
+    # one uniform per read, in program order, from the run's one stream
+    reads = sum(a.kind in ("read_single", "read_pair") for s in program.steps for a in s.actions)
+    draws = tokens_and_uniforms(config.seed, [("simulate",)], reads)[1][0].tolist()
+    state, events = simulate_program(program, config.geometry, config.params,
+                                     iter(draws).__next__)
     report = time_budget(program, config.params, echo=config.echo)
     payload = {"scenario": "simulate",
                "final_state": state,
@@ -605,20 +611,25 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
 
-    try:
-        config = load_config(args.config, overrides={
-            "seed": args.seed, "out_format": args.format, "echo": args.echo})
-    except ConfigError as exc:
-        return _usage_error(exc)
-
-    try:
-        code, output = run(config, Path(args.config).parent)
-    except ConfigError as exc:
-        return _usage_error(exc)
-    except (ValueError, ArithmeticError) as exc:
-        record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        code = EXIT_PHYSICS
-        output = _indented_json(record)
+    error = None
+    with warnings.catch_warnings(record=True) as caught:
+        # every warning of the load and the run, -W error included, is
+        # reported below as one line; "default" keeps one per location
+        warnings.simplefilter("default")
+        try:
+            config = load_config(args.config, overrides={
+                "seed": args.seed, "out_format": args.format, "echo": args.echo})
+            code, output = run(config, Path(args.config).parent)
+        except ConfigError as exc:
+            error = exc
+        except (ValueError, ArithmeticError) as exc:
+            record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+            code = EXIT_PHYSICS
+            output = _indented_json(record)
+    for message in dict.fromkeys(str(w.message) for w in caught):
+        print("warning:", " ".join(message.splitlines()), file=sys.stderr)
+    if error is not None:
+        return _usage_error(error)
 
     if not args.out:
         try:

@@ -87,10 +87,10 @@ def _project(state: EncodedRegisterState, amps: np.ndarray) -> EncodedRegisterSt
 
 
 def qpc_read_single(state: EncodedRegisterState, molecule: int,
-                    rng: np.random.Generator,
+                    draw: Callable[[], float],
                     adjacency: frozenset[tuple[int, int]] | None = None
                     ) -> tuple[str, EncodedRegisterState]:
-    """Projective single-molecule read in the {T, S} basis.
+    """Projective single-molecule read in the {T, S} basis, on one draw().
 
     The molecule is swept charge-sensitive for the read and back afterwards,
     so the returned state is flagged (1,1). Neighbours must not be held at
@@ -105,7 +105,7 @@ def qpc_read_single(state: EncodedRegisterState, molecule: int,
                 raise ValueError(f"molecule {other} adjacent to read target "
                                  f"{molecule} is held at +Ec/2")
     p_t, p_s = molecule_probabilities(state, molecule)
-    outcome = _sample(rng.random(), (("T", p_t), ("S", p_s)))
+    outcome = _sample(draw(), (("T", p_t), ("S", p_s)))
     amps = state.amplitudes.copy()
     molecule_view(amps, molecule)[:, 0 if outcome == "S" else 1] = 0.0
     return outcome, _project(state, amps)
@@ -136,8 +136,8 @@ def sweep_home(state: EncodedRegisterState, i: int, j: int, phi: float,
 
 
 def qpc_read_pair(state: EncodedRegisterState, i: int, j: int,
-                  rng: np.random.Generator) -> QpcReading:
-    """Three-level charge read of a swept molecule pair.
+                  draw: Callable[[], float]) -> QpcReading:
+    """Three-level charge read of a swept molecule pair, on one draw().
 
     Requires both molecules already held at +Ec/2 (their singlet weight in
     (0,2) is what the QPC sees). The post state stays charge-displaced;
@@ -145,7 +145,7 @@ def qpc_read_pair(state: EncodedRegisterState, i: int, j: int,
     """
     if state.charge_flags[i] != "02" or state.charge_flags[j] != "02":
         raise ValueError("pair read needs both molecules swept to +Ec/2")
-    level = _sample(rng.random(), tuple(pair_read_probabilities(state, i, j).items()))
+    level = _sample(draw(), tuple(pair_read_probabilities(state, i, j).items()))
     return _pair_reading(state, i, j, level)
 
 

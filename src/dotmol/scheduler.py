@@ -10,6 +10,7 @@ routing.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
 
@@ -499,15 +500,15 @@ class _OwnedRegister:
 
 def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
                      params: MoleculeParams,
-                     rng: np.random.Generator | None = None
+                     draw: Callable[[], float] | None = None
                      ) -> tuple[EncodedRegisterState, list[dict]]:
     """Execute a schedule against the encoded register model.
 
-    sweep_pair applies its intended Ising phase; reads sample through the
-    QPC model (rng required if the program contains any). Returns the final
-    state and an event record per measurement. Rotations and phases run in
-    place on a private buffer (_OwnedRegister); the norm is checked at
-    entry, at every init and read, and on the returned state.
+    sweep_pair applies its intended Ising phase; each read calls draw()
+    once, in program order (draw required if the program has reads).
+    Returns the final state and an event record per measurement. Rotations
+    and phases run in place on a private buffer (_OwnedRegister); the norm
+    is checked at entry, at every init and read, and on the returned state.
     """
     register = _OwnedRegister(product_state("S" * program.molecule_count))
     adjacency = g.topology.adjacency()
@@ -522,24 +523,24 @@ def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
                 i, j = action.molecules
                 register.phase(i, j, action.phase, adjacency)
             elif action.kind == "read_single":
-                if rng is None:
-                    raise ValueError("program contains reads; rng required")
+                if draw is None:
+                    raise ValueError("program contains reads; draw required")
                 outcome, state = qpc_read_single(register.state(), action.molecules[0],
-                                                 rng, adjacency)
+                                                 draw, adjacency)
                 register.adopt(state)
                 events.append({"step": s, "kind": "read_single",
                                "molecules": list(action.molecules),
                                "outcome": outcome})
             elif action.kind == "read_pair":
-                if rng is None:
-                    raise ValueError("program contains reads; rng required")
+                if draw is None:
+                    raise ValueError("program contains reads; draw required")
                 i, j = action.molecules
                 sweep_phi = 0.0
                 if action.ramp > 0.0:
                     sweep_phi = phase_from_waveform(full_sweep(params, action.ramp), g,
                                                     params.tunnel_coupling)
                 reading = qpc_read_pair(sweep_out(register.state(), i, j, sweep_phi,
-                                                  adjacency), i, j, rng)
+                                                  adjacency), i, j, draw)
                 register.adopt(sweep_home(reading.post_state, i, j, sweep_phi, adjacency))
                 events.append({"step": s, "kind": "read_pair",
                                "molecules": list(action.molecules),

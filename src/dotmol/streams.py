@@ -3,10 +3,11 @@
 Every random draw in a run flows from the root seed through a stream named
 by string labels (scenario, trial index, ...). Stream identity depends only
 on the root seed and the labels, never on the order in which streams are
-opened, so a trial replays from its labels alone. tokens_and_uniforms()
-draws from many streams in one pass, bit for bit as substream(): numpy's
-SeedSequence mixing (O'Neill's seed_seq) runs on uint32 columns over all
-streams, then PCG64 (XSL-RR output) steps in Python ints.
+opened, so a trial replays from its labels alone. tokens_and_uniforms(),
+the one source of draws, reads many streams in one pass, bit for bit as
+numpy's PCG64 seeded through SeedSequence: the mixing (O'Neill's seed_seq)
+runs on uint32 columns over all streams, then PCG64 (XSL-RR output) steps
+in Python ints.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import hashlib
 import numpy as np
 
 _MASK32, _MASK64, _MASK128 = 2 ** 32 - 1, 2 ** 64 - 1, 2 ** 128 - 1
-# SeedSequence constants (numpy.random.bit_generator, pool size 4); PCG64's multiplier
+# SeedSequence constants (numpy's bit_generator module, pool size 4); PCG64's multiplier
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43b0d7e5, 0x931e8875, 0x8b51f9dd, 0x58f38ded
 _MIX_L, _MIX_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -32,18 +33,11 @@ def stream_token(*labels) -> int:
     return int.from_bytes(_digest(labels)[:8], "big")
 
 
-def substream(root_seed: int, *labels) -> np.random.Generator:
-    """Generator for the (root_seed, labels) stream."""
-    digest = _digest(labels)
-    words = [int.from_bytes(digest[i:i + 4], "big") for i in range(0, 16, 4)]
-    return np.random.default_rng(np.random.SeedSequence([int(root_seed) & (2 ** 63 - 1), *words]))
-
-
 def tokens_and_uniforms(root_seed: int, label_tuples, k: int) -> tuple[list[int], np.ndarray]:
     """(tokens, draws) over an iterable of T label tuples, read once with one
     sha256 per tuple: tokens[t] is stream_token(*labels) of tuple t, and row
-    t of the (T, k) array draws holds the first k random() draws of
-    substream(root_seed, *labels)."""
+    t of the (T, k) array draws holds the first k uniforms in [0, 1) of the
+    stream seeded by root_seed (masked to 63 bits) and the labels' sha256."""
     words = np.frombuffer(b"".join(map(_digest, label_tuples)), ">u4").reshape(-1, 8)
     tokens = (words[:, 0].astype(np.uint64) << np.uint64(32) | words[:, 1]).tolist()
     # SeedSequence([root, *words[:4]]) entropy: 0 and any root below 2**32

@@ -3,7 +3,7 @@
 This is the per-trial protocol the package ran before it tabulated the
 branches: sweep the pair out, read, sweep home and, after I_mid, Hadamard
 both molecules, sweep out, read and sweep home again, drawing each read
-from rng as it happens. It is built only from public kernels, so the
+with draw() as it happens. It is built only from public kernels, so the
 branch table in dotmol.measurement can be checked against it trial by
 trial.
 """
@@ -13,7 +13,7 @@ from dotmol import Rotation, apply_rotation, ising_phase, qpc_read_pair
 from dotmol.measurement import _measurement_sweep
 
 
-def reference_bell(state, i, j, g, params, rng):
+def reference_bell(state, i, j, g, params, draw):
     """(round1, round2, classification, phi, final_state) of one trial."""
     adjacency = g.topology.adjacency()
     _, sweep_phi = _measurement_sweep(g, params)
@@ -22,7 +22,7 @@ def reference_bell(state, i, j, g, params, rng):
     state = ising_phase(state, i, j, sweep_phi, adjacency)
     phi += sweep_phi
     state = state.with_flags({i: "02", j: "02"})
-    first = qpc_read_pair(state, i, j, rng)
+    first = qpc_read_pair(state, i, j, draw)
     state = first.post_state.with_flags({i: "11", j: "11"})
     state = ising_phase(state, i, j, sweep_phi, adjacency)
     phi += sweep_phi
@@ -36,7 +36,7 @@ def reference_bell(state, i, j, g, params, rng):
     state = ising_phase(state, i, j, sweep_phi, adjacency)
     phi += sweep_phi
     state = state.with_flags({i: "02", j: "02"})
-    second = qpc_read_pair(state, i, j, rng)
+    second = qpc_read_pair(state, i, j, draw)
     state = second.post_state.with_flags({i: "11", j: "11"})
     state = ising_phase(state, i, j, sweep_phi, adjacency)
     phi += sweep_phi

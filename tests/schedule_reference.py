@@ -228,13 +228,12 @@ def reference_time_budget(program: ScheduleProgram, params: MoleculeParams,
 
 def reference_simulate_program(program: ScheduleProgram, g: LayoutGeometry,
                                params: MoleculeParams,
-                               rng: np.random.Generator | None = None
-                               ) -> tuple[EncodedRegisterState, list[dict]]:
+                               draw=None) -> tuple[EncodedRegisterState, list[dict]]:
     """Execute a schedule against the encoded register model.
 
     sweep_pair applies its intended Ising phase; reads sample through the
-    QPC model (rng required if the program contains any). Returns the final
-    state and an event record per measurement.
+    QPC model, one draw() each (draw required if the program contains
+    any). Returns the final state and an event record per measurement.
     """
     state = product_state("S" * program.molecule_count)
     adjacency = g.topology.adjacency()
@@ -249,23 +248,23 @@ def reference_simulate_program(program: ScheduleProgram, g: LayoutGeometry,
                 i, j = action.molecules
                 state = ising_phase(state, i, j, action.phase, adjacency)
             elif action.kind == "read_single":
-                if rng is None:
-                    raise ValueError("program contains reads; rng required")
-                outcome, state = qpc_read_single(state, action.molecules[0], rng,
+                if draw is None:
+                    raise ValueError("program contains reads; draw required")
+                outcome, state = qpc_read_single(state, action.molecules[0], draw,
                                                  adjacency)
                 events.append({"step": s, "kind": "read_single",
                                "molecules": list(action.molecules),
                                "outcome": outcome})
             elif action.kind == "read_pair":
-                if rng is None:
-                    raise ValueError("program contains reads; rng required")
+                if draw is None:
+                    raise ValueError("program contains reads; draw required")
                 i, j = action.molecules
                 sweep_phi = 0.0
                 if action.ramp > 0.0:
                     sweep_phi = phase_from_waveform(full_sweep(params, action.ramp), g,
                                                     params.tunnel_coupling)
                 reading = qpc_read_pair(sweep_out(state, i, j, sweep_phi, adjacency),
-                                        i, j, rng)
+                                        i, j, draw)
                 state = sweep_home(reading.post_state, i, j, sweep_phi, adjacency)
                 events.append({"step": s, "kind": "read_pair",
                                "molecules": list(action.molecules),

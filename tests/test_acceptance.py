@@ -16,6 +16,7 @@ from charge_oracle import (charge_hamiltonian, hold_at, hybridized_states,
                            square_pulse)
 from coulomb_oracle import pairwise_energy, perpendicular_molecule
 from schedule_reference import align_global_phase
+from stream_reference import substream
 from dotmol import (READ_LIMIT_MESSAGE, Action, EncodedRegisterState, Gate,
                     LayoutGeometry, MoleculeParams, ScheduleProgram,
                     ScheduleStep, Topology, adiabatic_angle,
@@ -23,7 +24,7 @@ from dotmol import (READ_LIMIT_MESSAGE, Action, EncodedRegisterState, Gate,
                     charge_sites, compile_circuit, controlled_phase_hold_time,
                     doubly_occupied_interaction, init_schedule, ising_phase,
                     pair_coupling, phase_from_waveform, sin_sq_mixing,
-                    sites_pair_energy, substream, time_budget,
+                    sites_pair_energy, time_budget,
                     validate_program)
 from dotmol.cli import main
 from dotmol.register import cnot

@@ -7,16 +7,19 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from bell_reference import reference_bell
 from schedule_reference import reference_from_json, reference_to_json
+from stream_reference import substream
 
 import dotmol
-from dotmol import (BELL_LABELS, MoleculeParams, Topology, bell_state,
-                    compile_circuit, substream, sweep_rate_window, validate_program)
+from dotmol import (BELL_LABELS, LayoutGeometry, MoleculeParams, ScheduleProgram,
+                    Topology, bell_state, compile_circuit, init_schedule,
+                    simulate_program, sweep_rate_window, validate_program)
 from dotmol.cli import (BELL_TRIAL_LIMIT, EXIT_BUDGET_WARNINGS, EXIT_OK,
                         EXIT_PHYSICS, EXIT_USAGE, SWEEP_POINT_LIMIT,
                         ConfigError, load_config, main, parse_circuit, run)
@@ -386,6 +389,61 @@ def test_non_utf8_circuit_exits_one_without_record(tmp_path, capsysbinary, kind)
     assert captured.err.startswith(b"error: cannot read circuit file 'c.txt'")
 
 
+def test_config_that_cannot_be_read_exits_one_without_traceback(tmp_path, capsys,
+                                                               monkeypatch):
+    # an existing file whose read fails, as a write-only one does
+    path = write_run(tmp_path, BELL_SCENARIO)
+
+    def refuse(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied")
+
+    monkeypatch.setattr(Path, "read_text", refuse)
+    assert main(["--config", str(path)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read config {path}: [Errno 13] Permission denied\n"
+
+
+LAYOUT_WARNING = ("warning: inter_molecule_distance below 10x intra_dot_distance; "
+                  "next-nearest-neighbour corrections grow\n")
+# a geometry that warns as it loads, and a sweep whose first points warn
+WARNING_RUNS = {
+    "load": (BELL_SCENARIO, {"geometry": {"intra_dot_distance": 30.0}}),
+    "sweep": ({"kind": "sweep", "parameter": "inter_molecule_distance",
+               "observable": "coupling_max", "start": 100.0, "stop": 400.0,
+               "points": 7}, {}),
+}
+
+
+def quiet_run(path):
+    """(exit code, output bytes) of run() with warnings ignored."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return run(load_config(path), path.parent)
+
+
+@pytest.mark.parametrize("case", sorted(WARNING_RUNS))
+def test_warnings_are_one_line_each(tmp_path, capsysbinary, case):
+    scenario, extra = WARNING_RUNS[case]
+    path = write_run(tmp_path, scenario, **extra)
+    assert main(["--config", str(path)]) == EXIT_OK
+    captured = capsysbinary.readouterr()
+    # the sweep warns at 100 and 150 nm; the message is reported once
+    assert captured.err == LAYOUT_WARNING.encode()
+    assert captured.out == quiet_run(path)[1]
+
+
+@pytest.mark.parametrize("case", sorted(WARNING_RUNS))
+def test_warnings_as_errors_still_run(tmp_path, case):
+    scenario, extra = WARNING_RUNS[case]
+    path = write_run(tmp_path, scenario, **extra)
+    result = subprocess.run([sys.executable, "-W", "error", "-m", "dotmol.cli",
+                             "--config", str(path)],
+                            env=src_env(), capture_output=True, check=False)
+    assert (result.returncode, result.stdout) == quiet_run(path)
+    assert result.stderr == LAYOUT_WARNING.encode()
+
+
 def test_circuit_gone_before_run_is_a_config_error(tmp_path):
     path = write_run(tmp_path, {"kind": "compile", "circuit": "c.txt"},
                      circuit="H 0\n")
@@ -584,6 +642,26 @@ def test_simulate_seed_flag_changes_the_stream(tmp_path):
     assert outcomes == {"S", "T"}  # a fair coin across seeds hits both
 
 
+@pytest.mark.parametrize("seed", [7, 2 ** 70, -5])
+def test_simulate_reads_match_the_reference_stream(tmp_path, seed):
+    # 160 reads, each a fair coin or a Bell round: simulate must draw them,
+    # in program order, as simulate_program fed by substream(seed, "simulate")
+    circuit = "H 0\nH 1\nMEASURE 0\nBELL 1 2\nH 2\nCNOT 1 2\nMEASURE 2\n" * 40
+    path = write_run(tmp_path, {"kind": "simulate", "circuit": "c.txt"},
+                     circuit=circuit, geometry={"topology": {"kind": "line", "n": 3}})
+    code, blob = run_cli(path, tmp_path / "out.json", "--seed", str(seed))
+    got = json.loads(blob)
+    g, params = LayoutGeometry(topology=Topology.line(3)), MoleculeParams()
+    program = ScheduleProgram(init_schedule(g.topology, params).steps
+                              + compile_circuit(parse_circuit(circuit), g, params).steps, 3)
+    state, events = simulate_program(program, g, params, substream(seed, "simulate").random)
+    assert code == EXIT_BUDGET_WARNINGS  # every read breaks today's budget
+    assert len(events) == 160
+    assert {e["outcome"] for e in events if e["kind"] == "read_single"} == {"S", "T"}
+    assert got["events"] == events
+    assert got["final_state"] == [[a.real, a.imag] for a in state.amplitudes.tolist()]
+
+
 def test_simulate_csv_rendering(tmp_path):
     path = write_run(tmp_path, {"kind": "simulate", "circuit": "c.txt"},
                      circuit="H 0\n", format="csv")
@@ -675,9 +753,9 @@ def test_bell_table_path_matches_step_by_step_reference(tmp_path, label):
     rows = bell_rows(blob)
     assert len(rows) == 500
     for row in rows:
-        rng = substream(11, "bell", label, row["trial"])
+        draw = substream(11, "bell", label, row["trial"]).random
         expected = reference_bell(bell_state(label), 0, 1, cfg.geometry,
-                                  cfg.params, rng)[:4]
+                                  cfg.params, draw)[:4]
         assert (row["round1"], row["round2"], row["classification"],
                 row["phi"]) == expected
 

@@ -23,17 +23,12 @@ P_T = np.diag([1.0, 0.0]).astype(complex)
 P_S = np.diag([0.0, 1.0]).astype(complex)
 
 
-class FixedDraw:
-    """Stands in for a Generator: random() returns u, so the branch is chosen."""
-
-    def __init__(self, u):
-        self.u = u
-
-    def random(self):
-        return self.u
+def fixed_draw(u):
+    """A draw that always returns u, so the branch is chosen."""
+    return lambda: u
 
 
-FIRST, LAST = FixedDraw(0.0), FixedDraw(1.0 - 1e-12)
+FIRST, LAST = fixed_draw(0.0), fixed_draw(1.0 - 1e-12)
 
 
 def all_pairs(n):
@@ -121,7 +116,7 @@ def test_pair_read_matches_dense_projectors(n, rng):
         # cumulative weights pick the first and last; the middle is hit by
         # a draw inside I_mid's interval
         mid = (probs["I_max"] + 0.5 * probs["I_mid"]) / sum(probs.values())
-        for draw, level in ((FIRST, "I_max"), (FixedDraw(mid), "I_mid"),
+        for draw, level in ((FIRST, "I_max"), (fixed_draw(mid), "I_mid"),
                             (LAST, "I_min")):
             reading = qpc_read_pair(state, i, j, draw)
             assert reading.level == level

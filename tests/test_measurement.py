@@ -4,10 +4,11 @@ import math
 import numpy as np
 import pytest
 from bell_reference import reference_bell
+from stream_reference import substream
 
 from dotmol import (BELL_LABELS, EncodedRegisterState, bell_branches, bell_state,
                     pair_read_probabilities, product_state, qpc_read_pair,
-                    qpc_read_single, substream)
+                    qpc_read_single)
 
 SQ = 1 / math.sqrt(2)
 
@@ -47,10 +48,10 @@ def test_decompose_psi_minus():
 
 
 def test_read_single_deterministic(rng):
-    outcome, post = qpc_read_single(product_state("T"), 0, rng)
+    outcome, post = qpc_read_single(product_state("T"), 0, rng.random)
     assert outcome == "T"
     assert np.allclose(post.amplitudes, [1, 0])
-    outcome, post = qpc_read_single(product_state("S"), 0, rng)
+    outcome, post = qpc_read_single(product_state("S"), 0, rng.random)
     assert outcome == "S"
     assert np.allclose(post.amplitudes, [0, 1])
 
@@ -58,7 +59,7 @@ def test_read_single_deterministic(rng):
 def test_read_single_born_statistics():
     state = EncodedRegisterState(np.array([SQ, SQ]), ("11",))
     rng = np.random.default_rng(77)
-    hits = sum(qpc_read_single(state, 0, rng)[0] == "S" for _ in range(10_000))
+    hits = sum(qpc_read_single(state, 0, rng.random)[0] == "S" for _ in range(10_000))
     assert abs(hits / 10_000 - 0.5) < 0.02
 
 
@@ -66,10 +67,10 @@ def test_read_single_neighbor_conflict():
     adjacency = frozenset({(0, 1)})
     state = product_state("TS").with_flags({1: "02"})
     with pytest.raises(ValueError):
-        qpc_read_single(state, 0, rng=np.random.default_rng(0), adjacency=adjacency)
+        qpc_read_single(state, 0, draw=lambda: 0.5, adjacency=adjacency)
     busy = product_state("TS").with_flags({0: "02"})
     with pytest.raises(ValueError):
-        qpc_read_single(busy, 0, rng=np.random.default_rng(0))
+        qpc_read_single(busy, 0, draw=lambda: 0.5)
 
 
 def swept(state):
@@ -77,14 +78,14 @@ def swept(state):
 
 
 def test_pair_read_deterministic_levels(rng):
-    reading = qpc_read_pair(swept(product_state("TT")), 0, 1, rng)
+    reading = qpc_read_pair(swept(product_state("TT")), 0, 1, rng.random)
     assert reading.level == "I_max" and reading.current == 1.0
     assert np.allclose(reading.post_state.amplitudes, [1, 0, 0, 0])
 
-    reading = qpc_read_pair(swept(product_state("SS")), 0, 1, rng)
+    reading = qpc_read_pair(swept(product_state("SS")), 0, 1, rng.random)
     assert reading.level == "I_min" and reading.current == 0.0
 
-    reading = qpc_read_pair(swept(bell_state("psi_plus")), 0, 1, rng)
+    reading = qpc_read_pair(swept(bell_state("psi_plus")), 0, 1, rng.random)
     assert reading.level == "I_mid" and reading.current == 0.5
     # P_mid acts as identity on the Psi sector
     assert np.allclose(reading.post_state.amplitudes,
@@ -93,7 +94,7 @@ def test_pair_read_deterministic_levels(rng):
 
 def test_pair_read_requires_sweep(rng):
     with pytest.raises(ValueError):
-        qpc_read_pair(product_state("TT"), 0, 1, rng)
+        qpc_read_pair(product_state("TT"), 0, 1, rng.random)
 
 
 def test_pair_probabilities_complete(rng):
@@ -223,7 +224,7 @@ def test_bell_measure_matches_step_by_step_reference(geometry, params, rng):
             ours_rng = substream(5, "reference", k, trial)
             ref_rng = substream(5, "reference", k, trial)
             outcome = bell_branches(state, 0, 1, geometry, params).sample(ours_rng.random)
-            *fields, final = reference_bell(state, 0, 1, geometry, params, ref_rng)
+            *fields, final = reference_bell(state, 0, 1, geometry, params, ref_rng.random)
             assert (outcome.round1, outcome.round2, outcome.classification,
                     outcome.phi) == tuple(fields)
             assert np.array_equal(outcome.final_state.amplitudes, final.amplitudes)

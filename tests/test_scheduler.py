@@ -311,9 +311,9 @@ def simulate_scenario_program(gates, g, params):
 
 
 def assert_simulates_as_reference(program, g, params, seed):
-    state, events = simulate_program(program, g, params, np.random.default_rng(seed))
+    state, events = simulate_program(program, g, params, np.random.default_rng(seed).random)
     expected, expected_events = reference.reference_simulate_program(
-        program, g, params, np.random.default_rng(seed))
+        program, g, params, np.random.default_rng(seed).random)
     # int64 views compare bits: 0.0 against -0.0 counts as a difference
     assert np.array_equal(state.amplitudes.view(np.int64),
                           expected.amplitudes.view(np.int64))
@@ -640,16 +640,16 @@ def test_simulate_init_prologue_resets(geometry, params):
     assert reference.states_equal(state.amplitudes, product_state("SS").amplitudes)
 
 
-def test_simulate_reads_need_rng(geometry, params):
+def test_simulate_reads_need_draw(geometry, params):
     program = compile_circuit([Gate("measure", (0,))], geometry, params)
-    with pytest.raises(ValueError, match="rng"):
+    with pytest.raises(ValueError, match="draw required"):
         simulate_program(program, geometry, params)
 
 
 def test_simulate_measure_collapses(geometry, params):
     program = compile_circuit([Gate("measure", (0,))], geometry, params)
     state, events = simulate_program(program, geometry, params,
-                                     np.random.default_rng(5))
+                                     np.random.default_rng(5).random)
     assert len(events) == 1
     assert events[0]["kind"] == "read_single"
     assert events[0]["outcome"] == "S"  # |SS> start is an S eigenstate
@@ -661,7 +661,7 @@ def test_simulate_bell_records_two_reads(geometry, params):
     # |SS> -> round 1 I_min deterministically; the scheduled second read
     # then sees the Hadamard-rotated state
     state, events = simulate_program(program, geometry, params,
-                                     np.random.default_rng(5))
+                                     np.random.default_rng(5).random)
     assert [e["kind"] for e in events] == ["read_pair", "read_pair"]
     assert events[0]["level"] == "I_min"
 

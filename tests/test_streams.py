@@ -1,10 +1,14 @@
-"""Named random sub-streams: values are pinned so a refactor cannot move them."""
+"""Named random sub-streams: values are pinned so a refactor cannot move them,
+and every row of the one stream function matches the numpy reference."""
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
+from stream_reference import substream
 
-from dotmol.streams import stream_token, substream, tokens_and_uniforms
+import dotmol
+from dotmol.streams import stream_token, tokens_and_uniforms
 
 
 def test_stream_token_values_are_pinned():
@@ -53,6 +57,29 @@ def test_uniforms_match_substream_draws(k):
             assert row == [rng.random() for _ in range(k)], (root, label)
 
 
+@pytest.mark.parametrize("k", [64, 300])
+def test_long_rows_match_substream_draws(k):
+    # simulate draws one column per read from its ("simulate",) stream, so
+    # rows run to the program's read count; that label is at every root
+    rnd = random.Random(k)
+    for root in ROOTS + [rnd.randrange(-2 ** 80, 2 ** 80)]:
+        labels = [("simulate",)] + [random_labels(rnd) for _ in range(4)]
+        tokens, got = tokens_and_uniforms(root, labels, k)
+        assert got.shape == (len(labels), k)
+        assert np.array_equal(tokens_and_uniforms(root, labels[:1], k)[1], got[:1])
+        for row, label in zip(got.tolist(), labels):
+            rng = substream(root, *label)
+            assert row == [rng.random() for _ in range(k)], (root, label)
+
+
 def test_uniforms_of_no_labels_are_empty():
     assert tokens_and_uniforms(7, [], 2)[1].shape == (0, 2)
     assert tokens_and_uniforms(2 ** 40, [], 1)[0] == []
+
+
+def test_package_draws_only_from_the_stream_function():
+    # every draw in src/ comes from tokens_and_uniforms through a draw callable
+    for path in Path(dotmol.__file__).parent.glob("*.py"):
+        text = path.read_text()
+        for name in ("numpy.random", "np.random", "substream", "rng"):
+            assert name not in text, (path.name, name)
