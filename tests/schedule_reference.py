@@ -39,8 +39,7 @@ from dataclasses import replace
 import numpy as np
 
 from dotmol.electrostatics import LayoutGeometry, Topology
-from dotmol.measurement import (_measurement_sweep, qpc_read_pair, qpc_read_single,
-                                sweep_home, sweep_out)
+from dotmol.measurement import _measurement_sweep, qpc_read_pair, qpc_read_single
 from dotmol.physics import MoleculeParams, full_sweep
 from dotmol.register import (EncodedRegisterState, Rotation, apply_rotation,
                              ising_phase, phase_from_waveform, product_state)
@@ -250,8 +249,7 @@ def reference_simulate_program(program: ScheduleProgram, g: LayoutGeometry,
             elif action.kind == "read_single":
                 if draw is None:
                     raise ValueError("program contains reads; draw required")
-                outcome, state = qpc_read_single(state, action.molecules[0], draw,
-                                                 adjacency)
+                outcome, state = qpc_read_single(state, action.molecules[0], draw)
                 events.append({"step": s, "kind": "read_single",
                                "molecules": list(action.molecules),
                                "outcome": outcome})
@@ -263,9 +261,9 @@ def reference_simulate_program(program: ScheduleProgram, g: LayoutGeometry,
                 if action.ramp > 0.0:
                     sweep_phi = phase_from_waveform(full_sweep(params, action.ramp), g,
                                                     params.tunnel_coupling)
-                reading = qpc_read_pair(sweep_out(state, i, j, sweep_phi, adjacency),
+                reading = qpc_read_pair(ising_phase(state, i, j, sweep_phi, adjacency),
                                         i, j, draw)
-                state = sweep_home(reading.post_state, i, j, sweep_phi, adjacency)
+                state = ising_phase(reading.post_state, i, j, sweep_phi, adjacency)
                 events.append({"step": s, "kind": "read_pair",
                                "molecules": list(action.molecules),
                                "level": reading.level,

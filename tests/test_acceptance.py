@@ -104,7 +104,7 @@ def test_criterion_4_cnot():
     adjacency = Topology.line(2).adjacency()
     basis = np.eye(4, dtype=complex)
     composed = np.column_stack([
-        cnot(EncodedRegisterState(basis[:, k], ("11", "11")), 0, 1,
+        cnot(EncodedRegisterState(basis[:, k]), 0, 1,
              adjacency).amplitudes
         for k in range(4)])
     canonical = np.eye(4)[[0, 1, 3, 2]].astype(complex)
@@ -112,7 +112,7 @@ def test_criterion_4_cnot():
     ok = float(np.linalg.norm(aligned.reshape(4, 4) - canonical)) < 1e-10
 
     twice = np.column_stack([
-        cnot(cnot(EncodedRegisterState(basis[:, k], ("11", "11")), 0, 1,
+        cnot(cnot(EncodedRegisterState(basis[:, k]), 0, 1,
                   adjacency), 0, 1, adjacency).amplitudes
         for k in range(4)])
     aligned = align_global_phase(np.eye(4, dtype=complex).reshape(-1),
@@ -131,7 +131,7 @@ def test_criterion_5_encoded_vs_oracle():
     def random_state(n):
         amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
         amps /= np.linalg.norm(amps)
-        return EncodedRegisterState(amps, ("11",) * n)
+        return EncodedRegisterState(amps)
 
     def oracle_gap(g, state, pair, waveforms, displacements=None):
         n = state.n

@@ -292,6 +292,39 @@ def test_integral_floats_load_as_int_keys(tmp_path):
     assert code == EXIT_OK and len(blob.splitlines()) == 3
 
 
+# the stream keeps 63 bits of the root seed, so a seed outside 0..2^63-1
+# would run another seed's stream: 2^70 as 0, -1 as 2^63-1
+OUT_OF_RANGE_SEEDS = [-1, -5, 2 ** 63, 2 ** 70]
+
+
+@pytest.mark.parametrize("seed", OUT_OF_RANGE_SEEDS)
+@pytest.mark.parametrize("where", ["config", "flag"])
+def test_out_of_range_seed_exits_one(tmp_path, capsys, where, seed):
+    scenario = {"kind": "simulate", "circuit": "c.txt"}
+    if where == "config":
+        path = write_run(tmp_path, scenario, circuit="H 0\nMEASURE 0\n", seed=seed)
+        flags = []
+    else:
+        path = write_run(tmp_path, scenario, circuit="H 0\nMEASURE 0\n")
+        flags = [f"--seed={seed}"]
+    out = tmp_path / "o.json"
+    assert main(["--config", str(path), "--out", str(out), *flags]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "'seed'" in err and str(seed) in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 63 - 1])
+def test_seed_bounds_run(tmp_path, seed):
+    scenario, params = {"kind": "simulate", "circuit": "c.txt"}, {"coherence_time": 5000.0}
+    path = write_run(tmp_path, scenario, circuit="H 0\nMEASURE 0\n", seed=seed, params=params)
+    code, from_config = run_cli(path, tmp_path / "a.json")
+    assert code == EXIT_OK
+    plain = write_run(tmp_path, scenario, name="plain.json", params=params)
+    assert run_cli(plain, tmp_path / "b.json", "--seed", str(seed)) == (code, from_config)
+
+
 @pytest.mark.parametrize("config,message", [
     (dict(BASE, geometry=[]), "geometry must be a JSON object, not list"),
     (dict(BASE, geometry={"topology": [1]}), "topology must be a JSON object, not list"),
@@ -642,7 +675,7 @@ def test_simulate_seed_flag_changes_the_stream(tmp_path):
     assert outcomes == {"S", "T"}  # a fair coin across seeds hits both
 
 
-@pytest.mark.parametrize("seed", [7, 2 ** 70, -5])
+@pytest.mark.parametrize("seed", [7, 0, 2 ** 63 - 1])
 def test_simulate_reads_match_the_reference_stream(tmp_path, seed):
     # 160 reads, each a fair coin or a Bell round: simulate must draw them,
     # in program order, as simulate_program fed by substream(seed, "simulate")

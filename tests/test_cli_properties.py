@@ -218,8 +218,8 @@ def test_state_writer_matches_state_json(n):
     amps /= np.linalg.norm(amps)
     strided = np.empty(2 * size, dtype=complex)
     strided[::2] = amps
-    for state in (EncodedRegisterState(amps, ("11",) * n),
-                  EncodedRegisterState(strided[::2], ("02",) * n)):
+    for state in (EncodedRegisterState(amps),
+                  EncodedRegisterState(strided[::2])):
         expected = json.dumps(state_json(state), indent=2) + "\n"
         assert _indented_json(state) == expected.encode()
         nested = json.dumps({"final_state": state_json(state), "n": n},

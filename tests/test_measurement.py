@@ -57,44 +57,37 @@ def test_read_single_deterministic(rng):
 
 
 def test_read_single_born_statistics():
-    state = EncodedRegisterState(np.array([SQ, SQ]), ("11",))
+    state = EncodedRegisterState(np.array([SQ, SQ]))
     rng = np.random.default_rng(77)
     hits = sum(qpc_read_single(state, 0, rng.random)[0] == "S" for _ in range(10_000))
     assert abs(hits / 10_000 - 0.5) < 0.02
 
 
-def test_read_single_neighbor_conflict():
-    adjacency = frozenset({(0, 1)})
-    state = product_state("TS").with_flags({1: "02"})
+@pytest.mark.parametrize("molecules", [(2,), (-1,), (0, 2), (-1, 0), (1, 1)])
+def test_reads_refuse_molecules_outside_the_register(molecules):
+    # the views a read takes cannot be shaped over a molecule the
+    # two-molecule register does not hold, nor over one molecule twice
+    state = bell_state("psi_plus")
     with pytest.raises(ValueError):
-        qpc_read_single(state, 0, draw=lambda: 0.5, adjacency=adjacency)
-    busy = product_state("TS").with_flags({0: "02"})
-    with pytest.raises(ValueError):
-        qpc_read_single(busy, 0, draw=lambda: 0.5)
-
-
-def swept(state):
-    return state.with_flags({0: "02", 1: "02"})
+        if len(molecules) == 1:
+            qpc_read_single(state, *molecules, lambda: 0.5)
+        else:
+            qpc_read_pair(state, *molecules, lambda: 0.5)
 
 
 def test_pair_read_deterministic_levels(rng):
-    reading = qpc_read_pair(swept(product_state("TT")), 0, 1, rng.random)
+    reading = qpc_read_pair(product_state("TT"), 0, 1, rng.random)
     assert reading.level == "I_max" and reading.current == 1.0
     assert np.allclose(reading.post_state.amplitudes, [1, 0, 0, 0])
 
-    reading = qpc_read_pair(swept(product_state("SS")), 0, 1, rng.random)
+    reading = qpc_read_pair(product_state("SS"), 0, 1, rng.random)
     assert reading.level == "I_min" and reading.current == 0.0
 
-    reading = qpc_read_pair(swept(bell_state("psi_plus")), 0, 1, rng.random)
+    reading = qpc_read_pair(bell_state("psi_plus"), 0, 1, rng.random)
     assert reading.level == "I_mid" and reading.current == 0.5
     # P_mid acts as identity on the Psi sector
     assert np.allclose(reading.post_state.amplitudes,
                        bell_state("psi_plus").amplitudes)
-
-
-def test_pair_read_requires_sweep(rng):
-    with pytest.raises(ValueError):
-        qpc_read_pair(product_state("TT"), 0, 1, rng.random)
 
 
 def test_pair_probabilities_complete(rng):
@@ -102,7 +95,7 @@ def test_pair_probabilities_complete(rng):
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         amps /= np.linalg.norm(amps)
         probs = pair_read_probabilities(
-            EncodedRegisterState(amps, ("11", "11")), 0, 1)
+            EncodedRegisterState(amps), 0, 1)
         assert sum(probs.values()) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -114,7 +107,7 @@ def test_pair_probabilities_ignore_ising_phase(rng):
     for _ in range(25):
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         amps /= np.linalg.norm(amps)
-        state = EncodedRegisterState(amps, ("11", "11"))
+        state = EncodedRegisterState(amps)
         base = pair_read_probabilities(state, 0, 1)
         shifted = pair_read_probabilities(
             ising_phase(state, 0, 1, rng.uniform(-10, 10), adjacency), 0, 1)
@@ -179,7 +172,6 @@ def test_bell_outcome_round2_iff_mid(geometry, params):
         assert o.phi > 0.0  # every protocol run sweeps at least twice
         norm = np.sum(np.abs(o.final_state.amplitudes) ** 2)
         assert norm == pytest.approx(1.0, abs=1e-10)
-        assert o.final_state.charge_flags == ("11", "11")
 
 
 def test_bell_final_state_in_projector_range(geometry, params):
@@ -214,7 +206,7 @@ def reference_states(rng):
     states += [bell_state(label) for label in BELL_LABELS]
     for _ in range(30):
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
-        states.append(EncodedRegisterState(amps / np.linalg.norm(amps), ("11", "11")))
+        states.append(EncodedRegisterState(amps / np.linalg.norm(amps)))
     return states
 
 
@@ -228,7 +220,6 @@ def test_bell_measure_matches_step_by_step_reference(geometry, params, rng):
             assert (outcome.round1, outcome.round2, outcome.classification,
                     outcome.phi) == tuple(fields)
             assert np.array_equal(outcome.final_state.amplitudes, final.amplitudes)
-            assert outcome.final_state.charge_flags == final.charge_flags
             # same number of draws: the streams continue in step
             assert ours_rng.random() == ref_rng.random()
 
@@ -252,4 +243,3 @@ def test_bell_branches_hold_every_live_outcome(geometry, params, rng):
         for (level1, level2), outcome in branches.outcomes.items():
             assert (outcome.round1, outcome.round2) == (level1, level2)
             assert outcome.reading1.level == level1
-            assert outcome.final_state.charge_flags == ("11", "11")

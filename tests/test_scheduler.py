@@ -317,7 +317,6 @@ def assert_simulates_as_reference(program, g, params, seed):
     # int64 views compare bits: 0.0 against -0.0 counts as a difference
     assert np.array_equal(state.amplitudes.view(np.int64),
                           expected.amplitudes.view(np.int64))
-    assert state.charge_flags == expected.charge_flags
     assert events == expected_events
 
 
@@ -653,7 +652,6 @@ def test_simulate_measure_collapses(geometry, params):
     assert len(events) == 1
     assert events[0]["kind"] == "read_single"
     assert events[0]["outcome"] == "S"  # |SS> start is an S eigenstate
-    assert state.charge_flags == ("11", "11")
 
 
 def test_simulate_bell_records_two_reads(geometry, params):
