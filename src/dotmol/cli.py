@@ -526,13 +526,26 @@ def _flat_amplitudes(state: EncodedRegisterState) -> list[float]:
 
 def _state_text(state: EncodedRegisterState, pad: str) -> str:
     """The state's amplitudes as JSON [re, im] pairs, basis index in
-    row-major molecule order, at indent pad."""
-    texts = list(map(float.__repr__, _flat_amplitudes(state)))
+    row-major molecule order, at indent pad.
+
+    Only amplitudes with a part other than +0.0 are formatted; every other
+    pair shares one text. The test is on the parts' bits, so a -0.0 part
+    is formatted and keeps its sign."""
+    flat = np.ascontiguousarray(state.amplitudes).view(float).reshape(-1, 2)
+    bits = flat.view(np.uint64)
+    nonzero = (bits[:, 0] | bits[:, 1]) != 0
+    dense = nonzero.all()
+    texts = list(map(float.__repr__, (flat if dense else flat[nonzero]).ravel().tolist()))
     texts = list(map(_JSON_SPECIAL_FLOATS.get, texts, texts))
     pair_pad = pad + "  "
     part_pad = pair_pad + "  "
     halves = iter(texts)
-    pairs = map((",\n" + part_pad).join, zip(halves, halves))
+    pairs = list(map((",\n" + part_pad).join, zip(halves, halves)))
+    if not dense:
+        full = [f"0.0,\n{part_pad}0.0"] * len(flat)
+        for index, text in zip(np.flatnonzero(nonzero).tolist(), pairs):
+            full[index] = text
+        pairs = full
     return (f"[\n{pair_pad}[\n{part_pad}"
             + f"\n{pair_pad}],\n{pair_pad}[\n{part_pad}".join(pairs)
             + f"\n{pair_pad}]\n{pad}]")

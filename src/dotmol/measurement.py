@@ -18,9 +18,9 @@ import numpy as np
 
 from .electrostatics import LayoutGeometry
 from .physics import MoleculeParams, full_sweep, sweep_rate_window
-from .register import (EncodedRegisterState, Rotation, apply_rotation, ising_phase,
-                       molecule_probabilities, molecule_view, pair_view,
-                       phase_from_waveform)
+from .register import (EncodedRegisterState, Rotation, _check_distinct, _check_molecule,
+                       apply_rotation, ising_phase, molecule_probabilities,
+                       molecule_view, pair_view, phase_from_waveform)
 
 READ_DURATION_NS = 1000.0
 
@@ -92,6 +92,7 @@ def qpc_read_single(state: EncodedRegisterState, molecule: int,
     The molecule is swept charge-sensitive for the read and back afterwards;
     keeping its neighbours at idle meanwhile is the schedule's rule.
     """
+    _check_molecule(state.n, molecule)
     p_t, p_s = molecule_probabilities(state, molecule)
     outcome = _sample(draw(), (("T", p_t), ("S", p_s)))
     amps = state.amplitudes.copy()
@@ -115,7 +116,9 @@ def qpc_read_pair(state: EncodedRegisterState, i: int, j: int,
 
     The QPC sees the pair's singlet weight in (0,2): the caller sweeps both
     molecules out to +Ec/2 first and back afterwards (ising_phase each way).
+    Adjacency is the schedule's rule; the indices must name two molecules.
     """
+    _check_distinct(state.n, i, j)
     level = _sample(draw(), tuple(pair_read_probabilities(state, i, j).items()))
     return _pair_reading(state, i, j, level)
 

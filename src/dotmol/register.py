@@ -214,11 +214,15 @@ def _check_molecule(n: int, m: int):
         raise ValueError(f"molecule index {m} out of range for n={n}")
 
 
-def _check_pair(n: int, i: int, j: int, adjacency):
+def _check_distinct(n: int, i: int, j: int):
     _check_molecule(n, i)
     _check_molecule(n, j)
     if i == j:
         raise ValueError("pair indices must differ")
+
+
+def _check_pair(n: int, i: int, j: int, adjacency):
+    _check_distinct(n, i, j)
     if (min(i, j), max(i, j)) not in adjacency:
         raise ValueError(f"molecules {i} and {j} are not adjacent; "
                          "two-molecule operations need adjacency (no routing)")

@@ -445,9 +445,12 @@ class _OwnedRegister:
     memory axis pos[m] (axis 0 is the most significant digit). A rotation
     first swaps its molecule with the one on axis 0, where the two halves
     of the buffer are its T and S slices, contiguous whatever the molecule.
-    Swaps only move data, so every amplitude is computed exactly as the
-    public kernels compute it. Init and reads see the buffer as a state in
-    canonical order, and the fresh state they return becomes the buffer.
+    The swap is in place (_exchange), staged through the spare, which
+    otherwise serves as the rotation's scratch. Swaps only move data, so
+    every amplitude is computed exactly as the public kernels compute it.
+    Init and reads see the buffer as a state in canonical order (state()
+    permutes it into the spare, and the two trade places), and the fresh
+    state they return becomes the buffer.
     """
 
     def __init__(self, state: EncodedRegisterState):
@@ -462,13 +465,22 @@ class _OwnedRegister:
         _check_molecule(self.n, m)
         q = self.pos[m]
         if q:
-            np.copyto(pair_view(self.spare, 0, q),
-                      pair_view(self.amps, 0, q).transpose(0, 3, 2, 1, 4))
-            self.amps, self.spare = self.spare, self.amps
+            self._exchange(q)
             self.pos[m], self.pos[self.front] = 0, q
             self.front = m
         rotate_in_place(molecule_view(self.amps, 0), rotation.matrix(),
                         self.spare.reshape(2, 1, -1))
+
+    def _exchange(self, q: int):
+        """Exchange memory axes 0 and q in place. Only the amplitudes whose
+        two digits differ move: the (0, 1) and (1, 0) blocks trade places
+        through a quarter of the spare, and the other half stays put."""
+        view = pair_view(self.amps, 0, q)
+        low, high = view[:, 0, :, 1], view[:, 1, :, 0]
+        held = self.spare[:len(self.amps) // 4].reshape(low.shape)
+        np.copyto(held, low)
+        np.copyto(low, high)
+        np.copyto(high, held)
 
     def phase(self, i: int, j: int, phi: float, adjacency):
         _check_pair(self.n, i, j, adjacency)

@@ -21,7 +21,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from schedule_reference import state_json
 
-from dotmol import EncodedRegisterState
+from dotmol import (EncodedRegisterState, Gate, LayoutGeometry, ScheduleProgram, Topology,
+                    compile_circuit, init_schedule, simulate_program)
 from dotmol.cli import _SCHEMA, _indented_json, main
 
 PROPERTY_SETTINGS = settings(
@@ -204,6 +205,20 @@ def test_indented_json_refuses_keys_other_than_str(payload):
         _indented_json(payload)
 
 
+def assert_writes_as_state_json(amps, n):
+    """The writer's text for amps, alone and nested, on a contiguous and a
+    strided array, against json.dumps of the state_json pairs."""
+    strided = np.empty(2 * amps.size, dtype=complex)
+    strided[::2] = amps
+    for state in (EncodedRegisterState(amps),
+                  EncodedRegisterState(strided[::2])):
+        expected = json.dumps(state_json(state), indent=2) + "\n"
+        assert _indented_json(state) == expected.encode()
+        nested = json.dumps({"final_state": state_json(state), "n": n},
+                            sort_keys=True, indent=2) + "\n"
+        assert _indented_json({"n": n, "final_state": state}) == nested.encode()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_state_writer_matches_state_json(n):
     rng = np.random.default_rng(600 + n)
@@ -216,12 +231,45 @@ def test_state_writer_matches_state_json(n):
         amps[1] = 0.0
         amps[2] = complex(-0.0, -0.0)
     amps /= np.linalg.norm(amps)
-    strided = np.empty(2 * size, dtype=complex)
-    strided[::2] = amps
-    for state in (EncodedRegisterState(amps),
-                  EncodedRegisterState(strided[::2])):
-        expected = json.dumps(state_json(state), indent=2) + "\n"
-        assert _indented_json(state) == expected.encode()
-        nested = json.dumps({"final_state": state_json(state), "n": n},
-                            sort_keys=True, indent=2) + "\n"
-        assert _indented_json({"n": n, "final_state": state}) == nested.encode()
+    assert_writes_as_state_json(amps, n)
+
+
+@pytest.mark.parametrize("n", [8, 10])
+def test_state_writer_matches_state_json_on_sparse_states(n):
+    # mostly +0.0 parts, which share one text; each signed-zero pair and
+    # a 1e-17 part must still be written as its own value
+    rng = np.random.default_rng(620 + n)
+    parts = np.zeros(2 ** (n + 1))
+    live = rng.choice(parts.size, size=12, replace=False)
+    parts[live] = rng.normal(size=live.size)
+    amps = parts.view(complex) / np.linalg.norm(parts)
+    zero_pairs = np.flatnonzero(amps == 0)
+    for index, value in zip(rng.choice(zero_pairs, size=6, replace=False),
+                            (complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                             complex(-0.0, 0.0), complex(0.0, -0.0), complex(1e-17, 0.0))):
+        amps[index] = value
+    assert_writes_as_state_json(amps, n)
+
+
+def test_state_writer_matches_state_json_without_zero_parts():
+    rng = np.random.default_rng(630)
+    parts = rng.uniform(0.5, 1.0, size=512) * rng.choice([-1.0, 1.0], size=512)
+    amps = parts.view(complex) / np.linalg.norm(parts)
+    assert np.all(amps.view(float) != 0)
+    assert_writes_as_state_json(amps, 8)
+
+
+def test_state_writer_matches_state_json_after_reads(params):
+    # a simulated circuit whose reads zero most of the register
+    g = LayoutGeometry(topology=Topology.grid(3, 3))
+    gates = [Gate("h", (m,)) for m in range(9)]
+    gates += [Gate("cnot", (0, 1)), Gate("cz", (4, 5)),
+              Gate("xz", (7,), angle=0.4, axis_angle=1.1)]
+    gates += [Gate("measure", (m,)) for m in (2, 6, 8)] + [Gate("bell", (3, 4))]
+    compiled = compile_circuit(gates, g, params)
+    program = ScheduleProgram(init_schedule(g.topology, params).steps + compiled.steps,
+                              compiled.molecule_count)
+    state, events = simulate_program(program, g, params, np.random.default_rng(5).random)
+    assert {event["kind"] for event in events} == {"read_single", "read_pair"}
+    assert 0 < np.count_nonzero(state.amplitudes) < state.amplitudes.size // 4
+    assert_writes_as_state_json(state.amplitudes, 9)

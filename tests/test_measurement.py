@@ -1,5 +1,6 @@
 """QPC readout model and the two-round Bell-state measurement."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -63,16 +64,28 @@ def test_read_single_born_statistics():
     assert abs(hits / 10_000 - 0.5) < 0.02
 
 
-@pytest.mark.parametrize("molecules", [(2,), (-1,), (0, 2), (-1, 0), (1, 1)])
+# the molecules of a read on a two-molecule register, and its refusal
+REFUSED_READS = {(2,): "molecule index 2 out of range for n=2",
+                 (-1,): "molecule index -1 out of range for n=2",
+                 (0, 2): "molecule index 2 out of range for n=2",
+                 (-1, 0): "molecule index -1 out of range for n=2",
+                 (1, 1): "pair indices must differ"}
+
+
+@pytest.mark.parametrize("molecules", list(REFUSED_READS))
 def test_reads_refuse_molecules_outside_the_register(molecules):
-    # the views a read takes cannot be shaped over a molecule the
-    # two-molecule register does not hold, nor over one molecule twice
+    # a read names the molecule the register does not hold, or refuses one
+    # molecule twice, before it takes any view or draw
+    message = REFUSED_READS[molecules]
     state = bell_state("psi_plus")
-    with pytest.raises(ValueError):
+
+    def draw():
+        raise AssertionError("a refused read must not draw")
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         if len(molecules) == 1:
-            qpc_read_single(state, *molecules, lambda: 0.5)
+            qpc_read_single(state, *molecules, draw)
         else:
-            qpc_read_pair(state, *molecules, lambda: 0.5)
+            qpc_read_pair(state, *molecules, draw)
 
 
 def test_pair_read_deterministic_levels(rng):

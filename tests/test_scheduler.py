@@ -9,13 +9,14 @@ import schedule_reference as reference
 from charge_oracle import square_pulse
 
 from dotmol import (ECHO_FACTOR, READ_LIMIT_MESSAGE, Action, CompileError,
-                    Gate, LayoutGeometry, MoleculeParams, Rotation,
-                    ScheduleProgram, ScheduleStep, Topology, apply_rotation,
+                    EncodedRegisterState, Gate, LayoutGeometry, MoleculeParams,
+                    Rotation, ScheduleProgram, ScheduleStep, Topology, apply_rotation,
                     compile_circuit, init_schedule, ising_phase,
                     phase_from_waveform, product_state, simulate_program,
                     time_budget, validate_program)
 from dotmol.cli import _indented_json
 from dotmol.register import cnot
+from dotmol.scheduler import _OwnedRegister
 
 
 def members(step):
@@ -346,6 +347,26 @@ def test_simulation_matches_reference_after_many_swaps(params):
     program = simulate_scenario_program(gates, g, params)
     for seed in range(4):
         assert_simulates_as_reference(program, g, params, seed)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_axis_exchange_matches_swapaxes(n):
+    # the in-place exchange of memory axes 0 and q is a pure permutation:
+    # every part, signed zeros included, lands bit for bit where swapaxes
+    # puts it, whatever the spare held before
+    rng = np.random.default_rng(700 + n)
+    for q in range(1, n):
+        parts = rng.normal(size=2 ** (n + 1))
+        parts[rng.random(parts.size) < 0.25] = -0.0
+        parts[rng.random(parts.size) < 0.1] = 0.0
+        amps = parts.view(complex) / np.linalg.norm(parts)
+        expected = np.swapaxes(amps.reshape((2,) * n), 0, q).reshape(-1)
+        register = _OwnedRegister(EncodedRegisterState(amps.copy()))
+        buffer = register.amps
+        register.spare[:] = rng.normal(size=amps.size) + 1j * np.nan
+        register._exchange(q)
+        assert register.amps is buffer
+        assert np.array_equal(buffer.view(np.int64), expected.view(np.int64))
 
 
 def scrambled_program(rng, topology, params):
