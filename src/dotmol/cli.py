@@ -519,36 +519,46 @@ def _action_template(pad: str, width: int, hold: bool, phase: bool,
     return "{\n" + ",\n".join(inner + f for f in fields if f) + "\n" + pad + "}"
 
 
-def _flat_amplitudes(state: EncodedRegisterState) -> list[float]:
-    """re0, im0, re1, im1, ... of the state, as Python floats."""
-    return np.ascontiguousarray(state.amplitudes).view(float).tolist()
-
-
-def _state_text(state: EncodedRegisterState, pad: str) -> str:
-    """The state's amplitudes as JSON [re, im] pairs, basis index in
-    row-major molecule order, at indent pad.
-
-    Only amplitudes with a part other than +0.0 are formatted; every other
-    pair shares one text. The test is on the parts' bits, so a -0.0 part
-    is formatted and keeps its sign."""
-    flat = np.ascontiguousarray(state.amplitudes).view(float).reshape(-1, 2)
+def _amplitude_texts(amps: np.ndarray, sep: str, special: dict | None = None) -> list[str]:
+    """One "re<sep>im" text per amplitude, each part as float.__repr__
+    writes it, mapped through special if given. Only amplitudes with a part
+    other than +0.0 are formatted; every other shares one "0.0<sep>0.0"
+    text. The test is on the parts' bits, so a -0.0 part is formatted and
+    keeps its sign."""
+    flat = np.ascontiguousarray(amps).view(float).reshape(-1, 2)
     bits = flat.view(np.uint64)
     nonzero = (bits[:, 0] | bits[:, 1]) != 0
     dense = nonzero.all()
     texts = list(map(float.__repr__, (flat if dense else flat[nonzero]).ravel().tolist()))
-    texts = list(map(_JSON_SPECIAL_FLOATS.get, texts, texts))
+    if special:
+        texts = list(map(special.get, texts, texts))
+    halves = iter(texts)
+    pairs = list(map(sep.join, zip(halves, halves)))
+    if dense:
+        return pairs
+    full = [f"0.0{sep}0.0"] * len(flat)
+    for index, text in zip(np.flatnonzero(nonzero).tolist(), pairs):
+        full[index] = text
+    return full
+
+
+def _state_text(state: EncodedRegisterState, pad: str) -> str:
+    """The state's amplitudes as JSON [re, im] pairs, basis index in
+    row-major molecule order, at indent pad."""
     pair_pad = pad + "  "
     part_pad = pair_pad + "  "
-    halves = iter(texts)
-    pairs = list(map((",\n" + part_pad).join, zip(halves, halves)))
-    if not dense:
-        full = [f"0.0,\n{part_pad}0.0"] * len(flat)
-        for index, text in zip(np.flatnonzero(nonzero).tolist(), pairs):
-            full[index] = text
-        pairs = full
+    pairs = _amplitude_texts(state.amplitudes, ",\n" + part_pad, _JSON_SPECIAL_FLOATS)
     return (f"[\n{pair_pad}[\n{part_pad}"
             + f"\n{pair_pad}],\n{pair_pad}[\n{part_pad}".join(pairs)
             + f"\n{pair_pad}]\n{pad}]")
+
+
+def _state_csv(amps: np.ndarray) -> str:
+    """One "index,re,im" row per amplitude, as csv.writer writes
+    [index, repr(re), repr(im)]: no float repr needs quoting or holds a
+    "%", so one %-format fills in every row's index."""
+    rows = _amplitude_texts(amps, ",")
+    return ("%d," + "\n%d,".join(rows) + "\n") % tuple(range(len(rows)))
 
 
 def _indented_json(payload) -> bytes:
@@ -587,9 +597,7 @@ def _render(payload: dict, out_format: str) -> bytes:
         writer.writerows([trial, seed, *tails[leaf]] for trial, seed, leaf in payload["outcomes"])
     else:  # simulate; load_config refuses CSV for compile
         writer.writerow(["index", "re", "im"])
-        halves = iter(_flat_amplitudes(payload["final_state"]))
-        for index, (re, im) in enumerate(zip(halves, halves)):
-            writer.writerow([index, repr(re), repr(im)])
+        buf.write(_state_csv(payload["final_state"].amplitudes))
     return buf.getvalue().encode()
 
 

@@ -448,9 +448,12 @@ class _OwnedRegister:
     The swap is in place (_exchange), staged through the spare, which
     otherwise serves as the rotation's scratch. Swaps only move data, so
     every amplitude is computed exactly as the public kernels compute it.
-    Init and reads see the buffer as a state in canonical order (state()
+    An init on a molecule whose T amplitudes are all exactly zero, such as
+    every init of the prologue on the starting |S...S>, leaves the buffer
+    untouched: the register is already |S> there. Any other init, and
+    every read, sees the buffer as a state in canonical order (state()
     permutes it into the spare, and the two trade places), and the fresh
-    state they return becomes the buffer.
+    state it returns becomes the buffer.
     """
 
     def __init__(self, state: EncodedRegisterState):
@@ -460,6 +463,16 @@ class _OwnedRegister:
         self.canonical = list(range(self.n))
         self.pos = list(self.canonical)    # memory axis of each molecule
         self.front = 0                     # the molecule on axis 0
+
+    def init(self, m: int):
+        """Load |S> on molecule m. The zero test runs on m's current memory
+        axis, before any canonicalising copy; when it passes the buffer is
+        already |S> on m times the rest, and nothing is copied, reset or
+        checked. The buffer itself is never adopted: the spare would then
+        alias it, and the next rotation's scratch would overwrite it."""
+        _check_molecule(self.n, m)
+        if molecule_view(self.amps, self.pos[m])[:, 0].any():
+            self.adopt(_reset_to_singlet(self.state(), m))
 
     def rotate(self, m: int, rotation: Rotation):
         _check_molecule(self.n, m)
@@ -516,8 +529,12 @@ def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
     sweep_pair applies its intended Ising phase; each read calls draw()
     once, in program order (draw required if the program has reads).
     Returns the final state and an event record per measurement. Rotations
-    and phases run in place on a private buffer (_OwnedRegister); the norm
-    is checked at entry, at every init and read, and on the returned state.
+    and phases run in place on a private buffer (_OwnedRegister). An init
+    on a molecule already in |S> changes nothing and is skipped, which
+    covers the whole prologue on the starting |S...S>; the buffer returns
+    to canonical order before any other init or a read. The norm is
+    checked at entry, at every init that resets and every read, and on the
+    returned state.
     """
     register = _OwnedRegister(product_state("S" * program.molecule_count))
     adjacency = g.topology.adjacency()
@@ -527,7 +544,7 @@ def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
             if draw is None and action.kind in ("read_single", "read_pair"):
                 raise ValueError("program contains reads; draw required")
             if action.kind == "init":
-                register.adopt(_reset_to_singlet(register.state(), action.molecules[0]))
+                register.init(action.molecules[0])
             elif action.kind == "rotate":
                 register.rotate(action.molecules[0], action.rotation)
             elif action.kind == "sweep_pair":

@@ -8,9 +8,11 @@ sweep points stay small, so no example asks for a large allocation.
 The CLI's indented-JSON writer must write every drawn payload exactly as
 json.dumps(payload, sort_keys=True, indent=2) does, and a register state
 exactly as json.dumps writes its state_json pairs (schedule_reference).
+Its CSV state writer must write the rows csv.writer writes.
 """
 import contextlib
 import copy
+import csv
 import io
 import json
 import math
@@ -23,7 +25,7 @@ from schedule_reference import state_json
 
 from dotmol import (EncodedRegisterState, Gate, LayoutGeometry, ScheduleProgram, Topology,
                     compile_circuit, init_schedule, simulate_program)
-from dotmol.cli import _SCHEMA, _indented_json, main
+from dotmol.cli import _SCHEMA, _indented_json, _state_csv, main
 
 PROPERTY_SETTINGS = settings(
     max_examples=150, derandomize=True, database=None, deadline=None,
@@ -219,6 +221,17 @@ def assert_writes_as_state_json(amps, n):
         assert _indented_json({"n": n, "final_state": state}) == nested.encode()
 
 
+def csv_writer_rows(amps):
+    """The simulate CSV rows as csv.writer wrote them, from
+    [index, repr(re), repr(im)] per amplitude."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    halves = iter(np.ascontiguousarray(amps).view(float).tolist())
+    for index, (re, im) in enumerate(zip(halves, halves)):
+        writer.writerow([index, repr(re), repr(im)])
+    return buf.getvalue()
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_state_writer_matches_state_json(n):
     rng = np.random.default_rng(600 + n)
@@ -273,3 +286,32 @@ def test_state_writer_matches_state_json_after_reads(params):
     assert {event["kind"] for event in events} == {"read_single", "read_pair"}
     assert 0 < np.count_nonzero(state.amplitudes) < state.amplitudes.size // 4
     assert_writes_as_state_json(state.amplitudes, 9)
+    assert _state_csv(state.amplitudes) == csv_writer_rows(state.amplitudes)
+
+
+# +0.0 often, so that most drawn arrays are sparse, and every special value
+PART = st.one_of(st.just(0.0), st.floats(),
+                 st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 1e-17, -5e-324]))
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(pairs=st.lists(st.tuples(PART, PART), min_size=1, max_size=40))
+def test_csv_state_writer_matches_csv_writer(pairs):
+    amps = np.array([complex(re, im) for re, im in pairs])
+    assert _state_csv(amps) == csv_writer_rows(amps)
+    strided = np.empty(2 * amps.size, dtype=complex)
+    strided[::2] = amps
+    assert _state_csv(strided[::2]) == csv_writer_rows(amps)
+
+
+@pytest.mark.parametrize("case", ["dense", "sparse", "signed_zeros"])
+def test_csv_state_writer_matches_csv_writer_on_random_states(case):
+    rng = np.random.default_rng(640)
+    parts = rng.normal(size=2 ** 11)
+    if case == "sparse":
+        parts[rng.random(parts.size) < 0.97] = 0.0
+    elif case == "signed_zeros":
+        parts[rng.random(parts.size) < 0.5] = -0.0
+        parts[rng.random(parts.size) < 0.3] = 0.0
+    amps = parts.view(complex) / np.linalg.norm(parts)
+    assert _state_csv(amps) == csv_writer_rows(amps)

@@ -14,8 +14,9 @@ from dotmol import (ECHO_FACTOR, READ_LIMIT_MESSAGE, Action, CompileError,
                     compile_circuit, init_schedule, ising_phase,
                     phase_from_waveform, product_state, simulate_program,
                     time_budget, validate_program)
+from dotmol import scheduler
 from dotmol.cli import _indented_json
-from dotmol.register import cnot
+from dotmol.register import cnot, molecule_view
 from dotmol.scheduler import _OwnedRegister
 
 
@@ -658,6 +659,99 @@ def test_simulate_init_prologue_resets(geometry, params):
     state, events = simulate_program(program, geometry, params)
     assert events == []
     assert reference.states_equal(state.amplitudes, product_state("SS").amplitudes)
+
+
+def count_resets(monkeypatch):
+    """Count the simulator's full init resets; the reference keeps its own
+    unpatched _reset_to_singlet."""
+    calls = []
+    reset = scheduler._reset_to_singlet
+
+    def counted(state, m):
+        calls.append(m)
+        return reset(state, m)
+    monkeypatch.setattr(scheduler, "_reset_to_singlet", counted)
+    return calls
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def init_program(g, params, *parts):
+    """The init prologue, then each part in turn: a gate list, compiled, or
+    a molecule to init again in a step of its own."""
+    prologue = init_schedule(g.topology, params)
+    ramp = prologue.steps[0].actions[0].ramp
+    steps = list(prologue.steps)
+    for part in parts:
+        if isinstance(part, int):
+            steps.append(ScheduleStep((Action("init", (part,), duration=ramp, ramp=ramp),)))
+        else:
+            steps += compile_circuit(part, g, params).steps
+    return ScheduleProgram(tuple(steps), g.topology.size)
+
+
+@pytest.mark.parametrize("topology", [Topology.line(n) for n in range(1, 7)]
+                         + [Topology.grid(4, 4)],
+                         ids=[f"line{n}" for n in range(1, 7)] + ["grid4x4"])
+def test_simulated_init_prologue_skips_every_reset(monkeypatch, params, topology):
+    # the register starts in |S...S>, so no init of the prologue resets
+    calls = count_resets(monkeypatch)
+    g = LayoutGeometry(topology=topology)
+    state, events = simulate_program(init_schedule(topology, params), g, params)
+    assert calls == [] and events == []
+    assert_same_bits(state.amplitudes, product_state("S" * topology.size).amplitudes)
+
+
+def test_simulated_init_after_hadamard_matches_reference(monkeypatch, params):
+    # molecule 0 leaves |S> but stays unentangled while 2 and 3 entangle;
+    # the last rotations, of 1, leave 1 (still free of T) on memory axis 0,
+    # so the zero test must look at 0's own axis. The init resets 0 from the
+    # permuted buffer, and the circuit after it runs on the adopted state
+    calls = count_resets(monkeypatch)
+    g = LayoutGeometry(topology=Topology.line(4))
+    before = [Gate("h", (0,)), Gate("xz", (0,), angle=0.7, axis_angle=0.3), Gate("h", (2,)),
+              Gate("cz", (2, 3)), Gate("h", (3,))]
+    before += [Gate("z", (1,), angle=angle) for angle in (0.4, -0.2, 0.9, 1.3)]
+    after = [Gate("h", (0,)), Gate("cnot", (0, 1)), Gate("h", (3,))]
+    restored, _ = simulate_program(init_program(g, params, before, 0), g, params)
+    assert not molecule_view(restored.amplitudes, 0)[:, 0].any()
+    assert_simulates_as_reference(init_program(g, params, before, 0, after), g, params, 0)
+    assert calls == [0, 0]
+
+
+@pytest.mark.parametrize("value, outcome", [(0.25, "T"), (0.75, "S")])
+def test_simulated_init_after_read_matches_reference(monkeypatch, params, value, outcome):
+    # molecule 0 is read from an even T/S mix beside the entangled pair 1, 2
+    g = LayoutGeometry(topology=Topology.line(3))
+    gates = [Gate("h", (0,)), Gate("h", (1,)), Gate("cz", (1, 2)), Gate("measure", (0,))]
+    read, events = simulate_program(init_program(g, params, gates), g, params, lambda: value)
+    assert [e["outcome"] for e in events] == [outcome]
+    calls = count_resets(monkeypatch)
+    program = init_program(g, params, gates, 0)
+    state, _ = simulate_program(program, g, params, lambda: value)
+    expected, _ = reference.reference_simulate_program(program, g, params, lambda: value)
+    if outcome == "T":
+        assert calls == [0]
+        assert_same_bits(state.amplitudes, expected.amplitudes)
+    else:
+        # the read zeroed the T half exactly, so the init is skipped; the
+        # reference renormalises once more, so it agrees only to rounding
+        assert calls == []
+        assert_same_bits(state.amplitudes, read.amplitudes)
+        assert np.max(np.abs(state.amplitudes - expected.amplitudes)) < 1e-12
+
+
+def test_simulated_init_refuses_entangled_and_missing_molecules(params):
+    g = LayoutGeometry(topology=Topology.line(3))
+    program = init_program(g, params, [Gate("h", (1,)), Gate("h", (2,)),
+                                       Gate("cz", (1, 2))], 2)
+    with pytest.raises(ValueError, match="init on molecule 2 while entangled"):
+        simulate_program(program, g, params)
+    for m in (3, -1):
+        with pytest.raises(ValueError, match=f"molecule index {m} out of range for n=3"):
+            simulate_program(init_program(g, params, m), g, params)
 
 
 def test_simulate_reads_need_draw(geometry, params):
