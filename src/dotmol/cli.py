@@ -260,9 +260,8 @@ def _parse_line(line: str, lineno: int) -> Gate:
 
 def _budget_json(report) -> dict:
     return {"limit": report.limit,
-            "elapsed": {str(m): report.elapsed[m] for m in sorted(report.elapsed)},
-            "read_counts": {str(m): report.read_counts[m]
-                            for m in sorted(report.read_counts)},
+            "elapsed": {str(m): t for m, t in report.elapsed.items()},
+            "read_counts": {str(m): k for m, k in report.read_counts.items()},
             "violations": [{"molecule": v.molecule, "rule": v.rule,
                             "message": v.message} for v in report.violations]}
 
@@ -295,7 +294,7 @@ def _run_simulate(config: RunConfig, config_dir: Path) -> tuple[int, dict]:
     program = ScheduleProgram(prologue.steps + compiled.steps,
                               config.geometry.topology.size)
     # one uniform per read, in program order, from the run's one stream
-    reads = sum(a.kind in ("read_single", "read_pair") for s in program.steps for a in s.actions)
+    reads = sum(a.reads for s in program.steps for a in s.actions)
     draws = tokens_and_uniforms(config.seed, [("simulate",)], reads)[1][0].tolist()
     state, events = simulate_program(program, config.geometry, config.params,
                                      iter(draws).__next__)
@@ -523,19 +522,16 @@ def _amplitude_texts(amps: np.ndarray, sep: str, special: dict | None = None) ->
     """One "re<sep>im" text per amplitude, each part as float.__repr__
     writes it, mapped through special if given. Only amplitudes with a part
     other than +0.0 are formatted; every other shares one "0.0<sep>0.0"
-    text. The test is on the parts' bits, so a -0.0 part is formatted and
-    keeps its sign."""
+    text, and a dense state overwrites all of them. The test is on the
+    parts' bits, so a -0.0 part is formatted and keeps its sign."""
     flat = np.ascontiguousarray(amps).view(float).reshape(-1, 2)
     bits = flat.view(np.uint64)
     nonzero = (bits[:, 0] | bits[:, 1]) != 0
-    dense = nonzero.all()
-    texts = list(map(float.__repr__, (flat if dense else flat[nonzero]).ravel().tolist()))
+    texts = list(map(float.__repr__, flat[nonzero].ravel().tolist()))
     if special:
         texts = list(map(special.get, texts, texts))
     halves = iter(texts)
     pairs = list(map(sep.join, zip(halves, halves)))
-    if dense:
-        return pairs
     full = [f"0.0{sep}0.0"] * len(flat)
     for index, text in zip(np.flatnonzero(nonzero).tolist(), pairs):
         full[index] = text

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -157,9 +156,11 @@ class BellOutcome:
             raise ValueError("round2 must be present exactly when round1 is I_mid")
 
 
-@lru_cache(maxsize=32)
 def _measurement_sweep(g: LayoutGeometry, params: MoleculeParams) -> tuple[float, float]:
-    """(ramp duration, per-sweep Ising phase) of the minimal valid sweep."""
+    """(ramp duration, per-sweep Ising phase) of the minimal valid sweep.
+
+    Not cached: a run sizes it once, for its Bell table or when its
+    lowering meets the first read."""
     window = sweep_rate_window(params)
     if window.is_empty:
         raise ValueError("adiabaticity window is empty; no valid measurement sweep")

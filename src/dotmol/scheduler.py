@@ -78,6 +78,11 @@ class Action:
             return self.molecules
         return ()
 
+    @property
+    def reads(self) -> bool:
+        """A QPC read: it takes a step of its own and one uniform draw."""
+        return self.kind in ("read_single", "read_pair")
+
 
 @dataclass(frozen=True)
 class ScheduleStep:
@@ -160,17 +165,13 @@ def _lower(gates, g: LayoutGeometry, params: MoleculeParams) -> list[Action]:
     """Expand circuit gates into primitive actions with their durations.
 
     The gate pulse and the measurement sweep are sized on first use, so a
-    circuit of rotations alone needs no adiabaticity window. Within one
-    call, each distinct Gate object is lowered once and its repeats extend
-    out with the same Action objects; the memo is keyed by id() and holds
-    each gate, so that no id is reused while the call runs. Keys are never
-    Gate equality, under which Z 0 0.0 and Z 0 -0.0 are one gate. Actions
-    without an angle (Hadamard, pulse, read) are also built once per kind
-    and molecules.
+    circuit of rotations alone needs no adiabaticity window. Actions
+    without an angle (Hadamard, pulse, read) are built once per kind and
+    molecules, so the render's memo of action texts writes each once; a
+    Z or XZ line makes a fresh action every time.
     """
     hadamard = Rotation.hadamard()
     out: list[Action] = []
-    lowered: dict[int, tuple[Gate, list[Action]]] = {}
 
     @cache
     def pulse() -> dict:
@@ -198,11 +199,6 @@ def _lower(gates, g: LayoutGeometry, params: MoleculeParams) -> list[Action]:
         return Action(kind, molecules, **read())
 
     for gate in gates:
-        done = lowered.get(id(gate))
-        if done is not None:
-            out += done[1]
-            continue
-        start = len(out)
         if gate.kind == "h":
             out.append(shared("rotate", *gate.qubits))
         elif gate.kind in ("z", "xz"):
@@ -221,7 +217,6 @@ def _lower(gates, g: LayoutGeometry, params: MoleculeParams) -> list[Action]:
             i, j = gate.qubits
             read_ij = shared("read_pair", i, j)
             out += (read_ij, shared("rotate", i), shared("rotate", j), read_ij)
-        lowered[id(gate)] = (gate, out[start:])
     return out
 
 
@@ -264,7 +259,7 @@ def _pack(actions, neighbors: tuple[frozenset[int], ...]) -> ScheduleProgram:
     size = len(neighbors)
     frontier = [0] * size
     for action in actions:
-        read = action.kind in ("read_single", "read_pair")
+        read = action.reads
         displaced = action.displaced
         placed = len(steps)
         if not read:
@@ -394,7 +389,7 @@ def time_budget(program: ScheduleProgram, params: MoleculeParams,
         for action in step.actions:
             end = start + action.duration
             init = action.kind == "init"
-            read = action.kind in ("read_single", "read_pair")
+            read = action.reads
             for m in action.molecules:
                 if init:
                     prior = window_start.get(m, 0.0)
@@ -541,7 +536,7 @@ def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
     events: list[dict] = []
     for s, step in enumerate(program.steps):
         for action in step.actions:
-            if draw is None and action.kind in ("read_single", "read_pair"):
+            if draw is None and action.reads:
                 raise ValueError("program contains reads; draw required")
             if action.kind == "init":
                 register.init(action.molecules[0])

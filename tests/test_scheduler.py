@@ -15,7 +15,7 @@ from dotmol import (ECHO_FACTOR, READ_LIMIT_MESSAGE, Action, CompileError,
                     phase_from_waveform, product_state, simulate_program,
                     time_budget, validate_program)
 from dotmol import scheduler
-from dotmol.cli import _indented_json
+from dotmol.cli import _indented_json, parse_circuit
 from dotmol.register import cnot, molecule_view
 from dotmol.scheduler import _OwnedRegister
 
@@ -303,6 +303,27 @@ def test_repeated_gate_object_compiles_like_distinct_copies(line3, params):
     assert program == compile_circuit(distinct, line3, params)
     assert program == reference.compile_circuit(distinct, line3, params)
     assert_written_as_reference(program)
+
+
+def test_angle_free_actions_are_one_object_per_kind_and_molecules(params):
+    # the render's memo of action texts is keyed by identity, so it writes
+    # each angle-free action once only if lowering shares it
+    text = "\n".join(["H 0", "CNOT 0 1", "CZ 1 2", "MEASURE 3", "BELL 2 3", "Z 1 0.5",
+                      "H 0", "CNOT 1 0", "CZ 2 1", "MEASURE 3", "BELL 3 2",
+                      "CNOT 0 1", "CZ 1 2", "BELL 2 3", "XZ 2 0.3 0.5", "CZ 2 1"] * 2)
+    # parsed repeats are one Gate object; the copies are distinct objects
+    gates = parse_circuit(text)
+    gates += [replace(gate) for gate in gates]
+    actions = scheduler._lower(gates, LayoutGeometry(topology=Topology.line(4)), params)
+    shared: dict[tuple, set[int]] = {}
+    for a in actions:
+        if a.rotation is None or a.rotation.kind == "hadamard":
+            shared.setdefault((a.kind, a.molecules), set()).add(id(a))
+    assert {key: len(ids) for key, ids in shared.items()} == dict.fromkeys([
+        ("rotate", (0,)), ("rotate", (1,)), ("rotate", (2,)), ("rotate", (3,)),
+        ("sweep_pair", (0, 1)), ("sweep_pair", (1, 0)), ("sweep_pair", (1, 2)),
+        ("sweep_pair", (2, 1)), ("read_single", (3,)), ("read_pair", (2, 3)),
+        ("read_pair", (3, 2))], 1)
 
 
 def simulate_scenario_program(gates, g, params):
