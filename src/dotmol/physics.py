@@ -75,17 +75,18 @@ class MoleculeParams:
 def adiabatic_angle(eps, tc):
     """Charge mixing angle theta = arctan(2*Tc / (eps - sqrt(4*Tc^2 + eps^2))).
 
-    The denominator is strictly negative for Tc > 0, so theta lies in
-    (-pi/2, 0): theta -> 0- deep in (1,1) (eps << 0) and theta -> -pi/2
-    as the doubly occupied state takes over (eps -> +Ec/2). Accepts scalars
-    or arrays.
+    The denominator is negative for Tc > 0, so theta lies in (-pi/2, 0):
+    theta -> 0- deep in (1,1) (eps << 0) and theta -> -pi/2 as the doubly
+    occupied state takes over (eps -> +Ec/2), limits it takes without a
+    warning where the denominator overflows or rounds to 0. Scalars or arrays.
     """
     eps = np.asarray(eps, dtype=float)
     if tc <= 0 or not math.isfinite(tc):
         raise ValueError("tunnel coupling must be positive and finite")
     if not np.all(np.isfinite(eps)):
         raise ValueError("detuning must be finite")
-    theta = np.arctan(2.0 * tc / (eps - np.hypot(eps, 2.0 * tc)))
+    with np.errstate(divide="ignore", over="ignore"):
+        theta = np.arctan(2.0 * tc / np.copysign(eps - np.hypot(eps, 2.0 * tc), -1.0))
     return theta if theta.ndim else float(theta)
 
 

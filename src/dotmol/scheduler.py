@@ -1,11 +1,11 @@
 """Schedule compilation for molecule registers.
 
-Circuits lower to primitive actions (init, rotate, sweep_pair, read_single,
-read_pair) packed greedily into steps under the charge exclusion rules: a
-molecule appears in one action per step, measurement actions get a step to
-themselves, and no two charge-displaced molecules of different actions may
-be adjacent. Two-molecule gates require adjacency outright; there is no
-routing.
+Circuits lower to primitive actions (Action) packed greedily into steps
+under the charge exclusion rules: a molecule appears in one action per
+step, reads get a step to themselves, and no two charge-displaced
+molecules of different actions may be adjacent; the packer, the
+validator's screen and the time budget look action kinds up in one table.
+Two-molecule gates require adjacency outright; there is no routing.
 """
 from __future__ import annotations
 
@@ -29,6 +29,9 @@ from .register import (EncodedRegisterState, Rotation, _check_molecule, _check_p
 ECHO_FACTOR = 100.0
 
 READ_LIMIT_MESSAGE = "only one QPC read per coherence window"
+
+_READ_KINDS = frozenset({"read_single", "read_pair"})
+_DISPLACING_KINDS = _READ_KINDS | {"sweep_pair", "init"}
 
 
 class CompileError(ValueError):
@@ -62,7 +65,10 @@ class Gate:
 
 @dataclass(frozen=True)
 class Action:
-    kind: str                     # init | rotate | sweep_pair | read_single | read_pair
+    """A primitive action: init, rotate, sweep_pair or a QPC read (read_single,
+    read_pair). Reads, init and sweep_pair displace charge; rotate does not."""
+
+    kind: str
     molecules: tuple[int, ...]
     duration: float
     rotation: Rotation | None = None
@@ -74,14 +80,12 @@ class Action:
     @property
     def displaced(self) -> tuple[int, ...]:
         """Molecules this action holds (or carries through) charge displacement."""
-        if self.kind in ("sweep_pair", "read_pair", "read_single", "init"):
-            return self.molecules
-        return ()
+        return self.molecules if self.kind in _DISPLACING_KINDS else ()
 
     @property
     def reads(self) -> bool:
         """A QPC read: it takes a step of its own and one uniform draw."""
-        return self.kind in ("read_single", "read_pair")
+        return self.kind in _READ_KINDS
 
 
 @dataclass(frozen=True)
@@ -233,7 +237,7 @@ def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams) -> Schedul
     neighbors = g.topology.neighbor_table()
     # each distinct gate object once, in first-occurrence order
     for gate in {id(gate): gate for gate in gates}.values():
-        if any(q < 0 or q >= size for q in gate.qubits):
+        if min(gate.qubits) < 0 or max(gate.qubits) >= size:
             raise CompileError(f"{gate.kind} on {gate.qubits} is out of range "
                                f"for {size} molecules")
         if len(gate.qubits) == 2 and gate.qubits[1] not in neighbors[gate.qubits[0]]:
@@ -246,38 +250,39 @@ def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams) -> Schedul
 def _pack(actions, neighbors: tuple[frozenset[int], ...]) -> ScheduleProgram:
     """Pack actions, in order, into the earliest steps the exclusion rules
     allow; neighbors[m] holds molecule m's neighbours."""
-    # Per step: its actions, the neighbours of its displaced molecules, and
-    # whether it holds a read. Reads are sensitive to any nearby charge
-    # motion, so a read opens a step of its own and no later action joins
-    # it. Two actions' displaced molecules are adjacent exactly when one's
-    # displaced set meets the other's neighbour set. A molecule's actions
-    # land in increasing steps, so no step from `earliest` on holds one of
-    # the action's molecules.
+    # Per step: its actions and the neighbours of its displaced molecules,
+    # or None for a read step: reads sense any nearby charge motion, so a
+    # read opens a step of its own that no later action joins. Two actions'
+    # displaced molecules are adjacent exactly when one's displaced set
+    # meets the other's neighbour set, and a rotation displaces none. A
+    # molecule's actions land in increasing steps, so no step from
+    # `earliest` on holds one of the action's molecules.
     steps: list[list[Action]] = []
-    near: list[set[int]] = []
-    holds_read: list[bool] = []
-    size = len(neighbors)
-    frontier = [0] * size
+    near: list[set[int] | None] = []
+    frontier = [0] * len(neighbors)
     for action in actions:
-        read = action.reads
-        displaced = action.displaced
+        kind, molecules = action.kind, action.molecules
         placed = len(steps)
-        if not read:
-            earliest = max((frontier[m] for m in action.molecules), default=0)
-            for s in range(earliest, len(steps)):
-                if not holds_read[s] and near[s].isdisjoint(displaced):
+        if kind not in _READ_KINDS:
+            earliest = 0
+            for m in molecules:
+                if frontier[m] > earliest:
+                    earliest = frontier[m]
+            displacing = kind in _DISPLACING_KINDS
+            for s in range(earliest, placed):
+                if near[s] is not None and (not displacing or near[s].isdisjoint(molecules)):
                     placed = s
                     break
         if placed == len(steps):
             steps.append([])
-            near.append(set())
-            holds_read.append(read)
+            near.append(None if kind in _READ_KINDS else set())
         steps[placed].append(action)
-        for m in displaced:
-            near[placed].update(neighbors[m])
-        for m in action.molecules:
+        if kind in _DISPLACING_KINDS and near[placed] is not None:
+            for m in molecules:
+                near[placed].update(neighbors[m])
+        for m in molecules:
             frontier[m] = placed + 1
-    return ScheduleProgram(tuple(ScheduleStep(tuple(s)) for s in steps), size)
+    return ScheduleProgram(tuple(ScheduleStep(tuple(s)) for s in steps), len(neighbors))
 
 
 def validate_program(program: ScheduleProgram,
@@ -292,6 +297,7 @@ def validate_program(program: ScheduleProgram,
     so the screen may flag a clean step but never passes a flagged one.
     """
     count = program.molecule_count
+    valid = set(range(count))
     neighbors: dict[int, set[int]] = {}
     for i, j in adjacency:
         neighbors.setdefault(i, set()).add(j)
@@ -299,11 +305,10 @@ def validate_program(program: ScheduleProgram,
     out: list[RuleViolation] = []
     for s, step in enumerate(program.steps):
         molecules = [m for a in step.actions for m in a.molecules]
-        clean = (len(set(molecules)) == len(molecules)
-                 and all(0 <= m < count for m in molecules))
+        clean = len(set(molecules)) == len(molecules) and valid.issuperset(molecules)
         near: set[int] = set()
-        for action in step.actions if clean else ():
-            displaced = action.displaced
+        charged = (a.molecules for a in step.actions if a.kind in _DISPLACING_KINDS)
+        for displaced in charged if clean else ():
             if not near.isdisjoint(displaced):
                 clean = False
                 break
@@ -389,7 +394,7 @@ def time_budget(program: ScheduleProgram, params: MoleculeParams,
         for action in step.actions:
             end = start + action.duration
             init = action.kind == "init"
-            read = action.reads
+            read = action.kind in _READ_KINDS
             for m in action.molecules:
                 if init:
                     prior = window_start.get(m, 0.0)

@@ -477,6 +477,23 @@ def test_warnings_as_errors_still_run(tmp_path, case):
     assert result.stderr == LAYOUT_WARNING.encode()
 
 
+def test_detuning_far_above_tc_runs_without_a_warning(tmp_path, capsys):
+    # eps - hypot(eps, 2 Tc) rounds to zero over most of this range
+    path = write_run(tmp_path, {"kind": "sweep", "parameter": "epsilon",
+                                "observable": "adiabatic_angle", "start": 0.0,
+                                "stop": 4e12, "points": 5},
+                     params={"charging_energy": 1e13})
+    assert main(["--config", str(path)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    angles = [v for _, v in json.loads(captured.out)["rows"]]
+    assert angles == [-math.pi / 4] + [-math.pi / 2] * 4
+    path = write_run(tmp_path, {"kind": "compile", "circuit": "c.txt"},
+                     circuit="CZ 0 1\nBELL 0 1\n", params={"charging_energy": 1e20})
+    assert main(["--config", str(path)]) in (EXIT_OK, EXIT_BUDGET_WARNINGS)
+    assert capsys.readouterr().err == ""
+
+
 def test_circuit_gone_before_run_is_a_config_error(tmp_path):
     path = write_run(tmp_path, {"kind": "compile", "circuit": "c.txt"},
                      circuit="H 0\n")

@@ -1,5 +1,6 @@
 """Detuning physics: mixing angle, charge branches, sweep windows, waveforms."""
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -19,6 +20,34 @@ def test_mixing_angle_range_and_limits():
     assert -math.pi / 2 < adiabatic_angle(+ec / 2, tc) < 0
     assert sin_sq_mixing(-ec / 2, tc) < 1e-4
     assert sin_sq_mixing(+ec / 2, tc) > 1 - 1e-4
+
+
+# eps >> Tc rounds eps - hypot(eps, 2 Tc) to +0.0, and eps near -1e308
+# overflows it; theta must still take its limit, with no numpy warning
+DEGENERATE_ANGLES = {4e12: -math.pi / 2, 1e20: -math.pi / 2, 1.7e308: -math.pi / 2,
+                     -1.7e308: 0.0}
+
+
+def test_mixing_angle_takes_its_limit_where_the_denominator_rounds_away():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps, limit in DEGENERATE_ANGLES.items():
+            theta = adiabatic_angle(eps, 10.0)
+            assert type(theta) is float and theta == limit
+            assert sin_sq_mixing(eps, 10.0) == (1.0 if limit else 0.0)
+        # short of the rounding, the angle nears the same limit from above
+        assert -math.pi / 2 < adiabatic_angle(1e8, 10.0) < -math.pi / 2 + 1e-6
+
+
+def test_mixing_angle_array_takes_its_limit_where_the_denominator_rounds_away():
+    eps = np.array([-2500.0, 0.0, 2500.0, *DEGENERATE_ANGLES])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta = adiabatic_angle(eps, 10.0)
+    assert theta.shape == eps.shape
+    assert theta.tolist() == [adiabatic_angle(e, 10.0) for e in eps.tolist()]
+    assert theta[3:].tolist() == list(DEGENERATE_ANGLES.values())
+    assert np.all((theta >= -math.pi / 2) & (theta <= 0.0))
 
 
 def test_mixing_limits_hold_whenever_ec_dominates():

@@ -1,6 +1,7 @@
 """Schedule compilation, exclusion-rule validation, and time budgets."""
 import json
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -621,6 +622,34 @@ def test_budget_matches_numpy_reference(params):
             rules.update(v.rule for v in
                          assert_budget_as_reference(program, params, echo).violations)
     assert rules == {"coherence-budget", "qpc-read-limit"}
+
+
+def test_schedule_at_benchmark_scale_matches_references(params):
+    # the compile benchmark's 12x12 diagonal grid with a tenth of its gates:
+    # a fifth of the gates are reads or BELLs, so the packer's scans pass
+    # read steps, for actions that displace charge and for rotations
+    topology = Topology.grid(12, 12)
+    g = LayoutGeometry(topology=topology)
+    gates = random_circuit(np.random.default_rng(520), topology, length=(2000, 2001))
+    program = compile_circuit(gates, g, params)
+    assert program == reference.compile_circuit(gates, g, params)
+    assert validate_program(program, topology.adjacency()) == []
+    assert reference.validate_program(program, topology.adjacency()) == []
+    for echo in (False, True):
+        assert_budget_as_reference(program, params, echo)
+
+    # an action whose molecules' previous step comes before a read step,
+    # and which lands after it, scanned past that read step
+    last: dict[int, int] = {}
+    last_read, scanned = -1, Counter()
+    for s, step in enumerate(program.steps):
+        if step.actions[0].reads:
+            last_read = s
+        for action in step.actions:
+            if max(last.get(m, -1) for m in action.molecules) < last_read < s:
+                scanned[action.kind] += 1
+            last.update(dict.fromkeys(action.molecules, s))
+    assert scanned["rotate"] > 100 and scanned["sweep_pair"] > 100
 
 
 def test_budget_and_pulse_timings_are_python_floats(geometry, params):
