@@ -39,12 +39,14 @@ EXIT_PHYSICS = 2
 EXIT_BUDGET_WARNINGS = 3
 
 # Bell trials and sweep points are held in memory until rendered. Peak RSS
-# grows by ~557 bytes per Bell trial (JSON; CSV ~428) and ~490 bytes per
-# sweep point (JSON; CSV ~193) over a ~36 MiB interpreter, measured on
-# 10^5 and 2 * 10^5 rows. 10^6 rows then peak near 0.56 GiB (Bell) and
-# 0.50 GiB (sweep), under a 1 GiB budget.
+# grows by ~429 bytes per Bell trial (JSON or CSV; the JSON lines are
+# rendered _BELL_SLICE trials at a time) and ~490 bytes per sweep point
+# (JSON; CSV ~193) over a ~36 MiB interpreter, measured on 10^6 trials and
+# 10^5 and 2 * 10^5 points: 10^6 rows peak near 0.43 GiB (Bell) and 0.50 GiB
+# (sweep), under a 1 GiB budget.
 BELL_TRIAL_LIMIT = 1_000_000
 SWEEP_POINT_LIMIT = 1_000_000
+_BELL_SLICE = 65_536
 
 
 class ConfigError(Exception):
@@ -399,77 +401,82 @@ _JSON_COMPOUND = (dict, list, tuple, ScheduleStep, ScheduleProgram,
                   EncodedRegisterState)
 
 
-def _json_chunks(value, lead: str, pad: str, out: list[str], texts: dict) -> None:
-    """Append value to out as json.dumps(value, sort_keys=True, indent=2)
-    writes it, nested at indent pad, with lead (the separator before it).
-    Schedules are written as their schedule JSON and register states as
-    [re, im] amplitude pairs, straight from the objects. Keys must be
-    str; any other key or value type is a TypeError. texts is the
-    render's memo of action texts (_action_text)."""
+def _json_chunks(value, lead: str, pad: str, write, texts: dict) -> None:
+    """Write value's bytes through write as json.dumps(value, sort_keys=True,
+    indent=2) writes it, nested at indent pad, with lead (the separator
+    before it). Schedules are written as their schedule JSON and register
+    states as [re, im] amplitude pairs, straight from the objects. Keys
+    must be str; any other key or value type is a TypeError. texts is the
+    render's memo of encoded action texts (_action_text)."""
     if not isinstance(value, _JSON_COMPOUND):
-        out.append(lead + _json_scalar(value))
+        write((lead + _json_scalar(value)).encode())
     elif isinstance(value, dict):
         members = []
         for key in sorted(value):
             if not isinstance(key, str):
                 raise TypeError(f"keys must be str, not {type(key).__name__}")
             members.append((key, value[key]))
-        _members_chunks(members, lead, pad, out, texts)
+        _members_chunks(members, lead, pad, write, texts)
     elif isinstance(value, (list, tuple)):
         if not value:
-            out.append(lead + "[]")
+            write((lead + "[]").encode())
             return
         inner = pad + "  "
         lead += "[\n" + inner
         for item in value:
-            _json_chunks(item, lead, inner, out, texts)
+            _json_chunks(item, lead, inner, write, texts)
             lead = ",\n" + inner
-        out.append("\n" + pad + "]")
+        write(("\n" + pad + "]").encode())
     elif isinstance(value, ScheduleStep):
-        # {"actions": [...], "duration_ns": d}, each action text appended as
-        # its own chunk, so repeats share the memo's string
+        # {"actions": [...], "duration_ns": d}, each action text written on
+        # its own, so repeats write the memo's bytes
         inner = pad + "  "
         if value.actions:
             apad = inner + "  "
-            sep = ",\n" + apad
-            lead += "{\n" + inner + '"actions": [\n' + apad
+            lead = (lead + "{\n" + inner + '"actions": [\n' + apad).encode()
+            sep = (",\n" + apad).encode()
             for a in value.actions:
-                out += (lead, _action_text(a, apad, texts))
+                write(lead)
+                write(_action_text(a, apad, texts))
                 lead = sep
             lead = "\n" + inner + "],\n" + inner
         else:
             lead += "{\n" + inner + '"actions": [],\n' + inner
-        out.append(lead + '"duration_ns": ' + _json_scalar(value.duration) + "\n" + pad + "}")
+        write((lead + '"duration_ns": ' + _json_scalar(value.duration)
+               + "\n" + pad + "}").encode())
     elif isinstance(value, ScheduleProgram):
         _members_chunks((("molecule_count", value.molecule_count),
-                         ("steps", value.steps)), lead, pad, out, texts)
+                         ("steps", value.steps)), lead, pad, write, texts)
     else:
-        out.append(lead + _state_text(value, pad))
+        write(lead.encode())
+        write(_state_text(value, pad).encode())
 
 
-def _members_chunks(members, lead: str, pad: str, out: list[str], texts: dict) -> None:
+def _members_chunks(members, lead: str, pad: str, write, texts: dict) -> None:
     """A JSON object of (key, value) members given in sorted key order."""
     if not members:
-        out.append(lead + "{}")
+        write((lead + "{}").encode())
         return
     inner = pad + "  "
     lead += "{\n" + inner
     for key, value in members:
-        _json_chunks(value, lead + encode_basestring_ascii(key) + ": ", inner, out, texts)
+        _json_chunks(value, lead + encode_basestring_ascii(key) + ": ", inner, write, texts)
         lead = ",\n" + inner
-    out.append("\n" + pad + "}")
+    write(("\n" + pad + "}").encode())
 
 
-def _action_text(a: Action, pad: str, texts: dict) -> str:
-    """One action's JSON at indent pad. hold_ns, ramp_ns and
+def _action_text(a: Action, pad: str, texts: dict) -> bytes:
+    """One action's JSON at indent pad, encoded. hold_ns, ramp_ns and
     read_duration_ns appear only when nonzero, phase when set and
     rotation when present.
 
-    A compiled program repeats the same Action objects, so texts, which
-    lives for one render, keeps each text by (id(a), pad). The payload
-    holds every action until the render ends, so no id is reused. Keys
-    are identities, not Action equality, under which an action with a
-    -0.0 field would be written as its 0.0 twin."""
+    A compiled program repeats the same angle-free Action objects, so
+    texts, which lives for one render, keeps their encoded texts by
+    (id(a), pad), and repeats write the same bytes; a Z or XZ rotation is
+    a fresh action per gate (scheduler._lower), so its text is not kept.
+    The payload holds every action until the render ends, so no id is
+    reused. Keys are identities, not Action equality, under which an
+    action with a -0.0 field would be written as its 0.0 twin."""
     key = (id(a), pad)
     text = texts.get(key)
     if text is not None:
@@ -492,9 +499,11 @@ def _action_text(a: Action, pad: str, texts: dict) -> str:
                                 a.phase is not None, bool(a.ramp),
                                 bool(a.read_duration), rot is not None)
     # not tuple(map(...)): that takes a 10-slot tuple and shrinks it, so
-    # thousands of freed tuples pile up on a free list inside the chunks'
-    # memory and keep it from going back to the OS before the encode
-    text = texts[key] = template % tuple([_json_scalar(v) for v in values])
+    # thousands of freed tuples pile up on a free list inside the render's
+    # memory and keep it from going back to the OS
+    text = (template % tuple([_json_scalar(v) for v in values])).encode()
+    if rot is None or rot.kind == "hadamard":
+        texts[key] = text
     return text
 
 
@@ -559,25 +568,29 @@ def _state_csv(amps: np.ndarray) -> str:
 
 def _indented_json(payload) -> bytes:
     """json.dumps(payload, sort_keys=True, indent=2) plus a newline, as bytes,
-    without the pure-Python encoder that indent switches json to."""
-    out: list[str] = []
-    _json_chunks(payload, "", "", out, {})
-    out.append("\n")
-    text = "".join(out)
-    out.clear()  # free the chunks before the bytes copy
-    return text.encode()
+    without the pure-Python encoder that indent switches json to. The
+    bytes are written once, into one buffer; no str of the whole document
+    is built."""
+    buf = io.BytesIO()
+    _json_chunks(payload, "", "", buf.write, {})
+    buf.write(b"\n")
+    return buf.getvalue()
 
 
 def _render(payload: dict, out_format: str) -> bytes:
     if out_format == "json":
         if payload.get("scenario") == "bell":
             # one self-contained JSON record per trial: appending trials
-            # never rewrites earlier lines; seed and trial sort last
+            # never rewrites earlier lines; seed and trial sort last. Lines
+            # are joined and encoded a slice of trials at a time
             heads = [json.dumps(leaf, sort_keys=True)[:-1] + ', "seed": '
                      for leaf in payload["leaves"]]
-            return ("\n".join([f'{heads[leaf]}{seed}, "trial": {trial}}}'
-                               for trial, seed, leaf in payload["outcomes"]])
-                    + "\n").encode()
+            outcomes, buf = payload["outcomes"], io.BytesIO()
+            for start in range(0, len(outcomes), _BELL_SLICE):
+                rows = outcomes[start:start + _BELL_SLICE]
+                buf.write("".join([f'{heads[leaf]}{seed}, "trial": {trial}}}\n'
+                                   for trial, seed, leaf in rows]).encode())
+            return buf.getvalue()
         return _indented_json(payload)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

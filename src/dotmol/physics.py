@@ -78,15 +78,23 @@ def adiabatic_angle(eps, tc):
     The denominator is negative for Tc > 0, so theta lies in (-pi/2, 0):
     theta -> 0- deep in (1,1) (eps << 0) and theta -> -pi/2 as the doubly
     occupied state takes over (eps -> +Ec/2), limits it takes without a
-    warning where the denominator overflows or rounds to 0. Scalars or arrays.
+    warning where the denominator overflows or rounds to 0. Where 2*Tc or
+    the root overflows, the same angle is taken from the form scaled by Tc,
+    arctan(1 / (x - sqrt(x^2 + 1))) with x = eps / (2*Tc). Scalars or arrays.
     """
     eps = np.asarray(eps, dtype=float)
     if tc <= 0 or not math.isfinite(tc):
         raise ValueError("tunnel coupling must be positive and finite")
     if not np.all(np.isfinite(eps)):
         raise ValueError("detuning must be finite")
-    with np.errstate(divide="ignore", over="ignore"):
-        theta = np.arctan(2.0 * tc / np.copysign(eps - np.hypot(eps, 2.0 * tc), -1.0))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        root = np.hypot(eps, 2.0 * tc)
+        theta = np.arctan(2.0 * tc / np.copysign(eps - root, -1.0))
+        finite = np.isfinite(root)
+        if not np.all(finite):
+            x = eps / 2.0 / tc
+            theta = np.where(finite, theta,
+                             np.arctan(1.0 / np.copysign(x - np.hypot(x, 1.0), -1.0)))
     return theta if theta.ndim else float(theta)
 
 

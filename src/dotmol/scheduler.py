@@ -172,7 +172,7 @@ def _lower(gates, g: LayoutGeometry, params: MoleculeParams) -> list[Action]:
     circuit of rotations alone needs no adiabaticity window. Actions
     without an angle (Hadamard, pulse, read) are built once per kind and
     molecules, so the render's memo of action texts writes each once; a
-    Z or XZ line makes a fresh action every time.
+    Z or XZ line makes a fresh action every time, which the memo skips.
     """
     hadamard = Rotation.hadamard()
     out: list[Action] = []

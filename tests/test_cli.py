@@ -17,6 +17,7 @@ from schedule_reference import reference_from_json, reference_to_json
 from stream_reference import substream
 
 import dotmol
+from dotmol import cli
 from dotmol import (BELL_LABELS, LayoutGeometry, MoleculeParams, ScheduleProgram,
                     Topology, bell_state, compile_circuit, init_schedule,
                     simulate_program, sweep_rate_window, validate_program)
@@ -748,6 +749,20 @@ def test_bell_adding_trials_keeps_earlier_lines(tmp_path):
                                     "trials": trials}, name=f"r{trials}.json")
         _, blobs[trials] = run_cli(path, tmp_path / f"o{trials}.json")
     assert blobs[8].decode().splitlines()[:5] == blobs[5].decode().splitlines()
+
+
+@pytest.mark.parametrize("trials", [1, 6, 7, 13])
+def test_bell_lines_written_in_slices_join_up(tmp_path, monkeypatch, trials):
+    # slices of 3 trials: the last slice full or short, and one slice alone
+    path = write_run(tmp_path, {"kind": "bell", "input": "psi_plus",
+                                "trials": trials})
+    _, whole = run_cli(path, tmp_path / "whole.json")
+    monkeypatch.setattr(cli, "_BELL_SLICE", 3)
+    _, sliced = run_cli(path, tmp_path / "sliced.json")
+    assert sliced == whole
+    rows = [json.loads(line) for line in sliced.decode().splitlines()]
+    assert [row["trial"] for row in rows] == list(range(trials))
+    assert sliced.endswith(b"}\n")
 
 
 def test_bell_psi_plus_always_heralds(tmp_path):

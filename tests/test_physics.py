@@ -50,6 +50,40 @@ def test_mixing_angle_array_takes_its_limit_where_the_denominator_rounds_away():
     assert np.all((theta >= -math.pi / 2) & (theta <= 0.0))
 
 
+# where 2*Tc or hypot(eps, 2*Tc) overflows, the angle is still the one that
+# eps and Tc scaled down by 16 give; (1e308, 8e307) is about -1.065 rad
+OVERFLOWING_ROOTS = [(1e308, 8e307), (-1e308, 8e307), (0.0, 1e308),
+                     (1.7e308, 1.7e308), (-1.7e308, 1e308)]
+
+
+def scaled_angle(eps, tc):
+    e, t = eps / 16, tc / 16
+    return math.atan(2 * t / (e - math.hypot(e, 2 * t)))
+
+
+def test_mixing_angle_survives_an_overflowing_root():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for eps, tc in OVERFLOWING_ROOTS:
+            theta = adiabatic_angle(eps, tc)
+            assert type(theta) is float
+            assert theta == pytest.approx(scaled_angle(eps, tc), rel=1e-12)
+        assert adiabatic_angle(1e308, 8e307) == pytest.approx(-1.0647, abs=1e-4)
+        assert adiabatic_angle(0.0, 1e308) == pytest.approx(-math.pi / 4, rel=1e-15)
+
+
+def test_mixing_angle_array_survives_an_overflowing_root():
+    # at Tc = 8e307 only the large |eps| overflow, so the array mixes both forms
+    eps = np.array([-2500.0, 0.0, 2500.0, 1e308, -1e308, 1.7e308])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for tc in (8e307, 1e308):
+            theta = adiabatic_angle(eps, tc)
+            assert theta.tolist() == [adiabatic_angle(e, tc) for e in eps.tolist()]
+            assert theta.tolist() == pytest.approx(
+                [scaled_angle(e, tc) for e in eps.tolist()], rel=1e-12)
+
+
 def test_mixing_limits_hold_whenever_ec_dominates():
     rng = np.random.default_rng(3)
     for _ in range(50):

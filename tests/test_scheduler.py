@@ -1,6 +1,7 @@
 """Schedule compilation, exclusion-rule validation, and time budgets."""
 import json
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -624,13 +625,19 @@ def test_budget_matches_numpy_reference(params):
     assert rules == {"coherence-budget", "qpc-read-limit"}
 
 
-def test_schedule_at_benchmark_scale_matches_references(params):
-    # the compile benchmark's 12x12 diagonal grid with a tenth of its gates:
-    # a fifth of the gates are reads or BELLs, so the packer's scans pass
-    # read steps, for actions that displace charge and for rotations
+def benchmark_scale_circuit():
+    """The compile benchmark's 12x12 diagonal grid with a tenth of its gates:
+    (gates, geometry). A fifth of the gates are reads or BELLs."""
     topology = Topology.grid(12, 12)
-    g = LayoutGeometry(topology=topology)
     gates = random_circuit(np.random.default_rng(520), topology, length=(2000, 2001))
+    return gates, LayoutGeometry(topology=topology)
+
+
+def test_schedule_at_benchmark_scale_matches_references(params):
+    # the packer's scans pass read steps, for actions that displace charge
+    # and for rotations
+    gates, g = benchmark_scale_circuit()
+    topology = g.topology
     program = compile_circuit(gates, g, params)
     assert program == reference.compile_circuit(gates, g, params)
     assert validate_program(program, topology.adjacency()) == []
@@ -650,6 +657,29 @@ def test_schedule_at_benchmark_scale_matches_references(params):
                 scanned[action.kind] += 1
             last.update(dict.fromkeys(action.molecules, s))
     assert scanned["rotate"] > 100 and scanned["sweep_pair"] > 100
+
+
+def test_render_at_benchmark_scale_holds_one_copy_of_its_bytes(params):
+    # the writer emits each byte once into one buffer: its traced peak stays
+    # near the output's length, where a str of the whole document beside
+    # its encoded copy (or a list of chunks beside the joined text) peaks
+    # near twice that. The budget takes the step durations first, as in a
+    # compile run
+    program = compile_circuit(*benchmark_scale_circuit(), params)
+    time_budget(program, params)
+    payload = {"scenario": "compile", "schedule": program}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = _indented_json(payload)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert type(out) is bytes
+    assert out.startswith(b'{\n  "scenario": "compile",\n  "schedule": {\n')
+    assert len(out) > 500_000
+    assert peak <= 1.5 * len(out)
 
 
 def test_budget_and_pulse_timings_are_python_floats(geometry, params):
