@@ -47,6 +47,7 @@ EXIT_BUDGET_WARNINGS = 3
 BELL_TRIAL_LIMIT = 1_000_000
 SWEEP_POINT_LIMIT = 1_000_000
 _BELL_SLICE = 65_536
+_STATE_SLICE = 1_024
 
 
 class ConfigError(Exception):
@@ -405,7 +406,9 @@ def _json_chunks(value, lead: str, pad: str, write, texts: dict) -> None:
     """Write value's bytes through write as json.dumps(value, sort_keys=True,
     indent=2) writes it, nested at indent pad, with lead (the separator
     before it). Schedules are written as their schedule JSON and register
-    states as [re, im] amplitude pairs, straight from the objects. Keys
+    states as [re, im] amplitude pairs, straight from the objects; a
+    state's pairs are joined and encoded one slice of amplitudes at a time
+    (_amplitude_slices), so its whole text is never held. Keys
     must be str; any other key or value type is a TypeError. texts is the
     render's memo of encoded action texts (_action_text)."""
     if not isinstance(value, _JSON_COMPOUND):
@@ -448,8 +451,15 @@ def _json_chunks(value, lead: str, pad: str, write, texts: dict) -> None:
         _members_chunks((("molecule_count", value.molecule_count),
                          ("steps", value.steps)), lead, pad, write, texts)
     else:
-        write(lead.encode())
-        write(_state_text(value, pad).encode())
+        # [re, im] pairs, basis index in row-major molecule order
+        pair_pad = pad + "  "
+        part_pad = pair_pad + "  "
+        sep = f"\n{pair_pad}],\n{pair_pad}[\n{part_pad}"
+        write(f"{lead}[\n{pair_pad}[\n{part_pad}".encode())
+        for start, rows in _amplitude_slices(value.amplitudes, ",\n" + part_pad,
+                                             _JSON_SPECIAL_FLOATS):
+            write(((sep if start else "") + sep.join(rows)).encode())
+        write(f"\n{pair_pad}]\n{pad}]".encode())
 
 
 def _members_chunks(members, lead: str, pad: str, write, texts: dict) -> None:
@@ -527,43 +537,38 @@ def _action_template(pad: str, width: int, hold: bool, phase: bool,
     return "{\n" + ",\n".join(inner + f for f in fields if f) + "\n" + pad + "}"
 
 
-def _amplitude_texts(amps: np.ndarray, sep: str, special: dict | None = None) -> list[str]:
-    """One "re<sep>im" text per amplitude, each part as float.__repr__
-    writes it, mapped through special if given. Only amplitudes with a part
-    other than +0.0 are formatted; every other shares one "0.0<sep>0.0"
-    text, and a dense state overwrites all of them. The test is on the
-    parts' bits, so a -0.0 part is formatted and keeps its sign."""
-    flat = np.ascontiguousarray(amps).view(float).reshape(-1, 2)
-    bits = flat.view(np.uint64)
-    nonzero = (bits[:, 0] | bits[:, 1]) != 0
-    texts = list(map(float.__repr__, flat[nonzero].ravel().tolist()))
-    if special:
-        texts = list(map(special.get, texts, texts))
-    halves = iter(texts)
-    pairs = list(map(sep.join, zip(halves, halves)))
-    full = [f"0.0{sep}0.0"] * len(flat)
-    for index, text in zip(np.flatnonzero(nonzero).tolist(), pairs):
-        full[index] = text
-    return full
+def _amplitude_slices(amps: np.ndarray, sep: str, special: dict | None = None):
+    """Yield (start, rows) for each slice of _STATE_SLICE amplitudes, rows
+    holding one "re<sep>im" text per amplitude from index start on, each
+    part as float.__repr__ writes it, mapped through special if given.
+    Only amplitudes with a part other than +0.0 are formatted; every other
+    shares one "0.0<sep>0.0" text, and a dense slice overwrites all of
+    them. The test is on the parts' bits, so a -0.0 part is formatted and
+    keeps its sign. Only one slice's texts are held at a time."""
+    zero = f"0.0{sep}0.0"
+    for start in range(0, len(amps), _STATE_SLICE):
+        flat = np.ascontiguousarray(amps[start:start + _STATE_SLICE]).view(float).reshape(-1, 2)
+        bits = flat.view(np.uint64)
+        nonzero = (bits[:, 0] | bits[:, 1]) != 0
+        texts = list(map(float.__repr__, flat[nonzero].ravel().tolist()))
+        if special:
+            texts = list(map(special.get, texts, texts))
+        halves = iter(texts)
+        rows = [zero] * len(flat)
+        for index, text in zip(np.flatnonzero(nonzero).tolist(),
+                               map(sep.join, zip(halves, halves))):
+            rows[index] = text
+        yield start, rows
 
 
-def _state_text(state: EncodedRegisterState, pad: str) -> str:
-    """The state's amplitudes as JSON [re, im] pairs, basis index in
-    row-major molecule order, at indent pad."""
-    pair_pad = pad + "  "
-    part_pad = pair_pad + "  "
-    pairs = _amplitude_texts(state.amplitudes, ",\n" + part_pad, _JSON_SPECIAL_FLOATS)
-    return (f"[\n{pair_pad}[\n{part_pad}"
-            + f"\n{pair_pad}],\n{pair_pad}[\n{part_pad}".join(pairs)
-            + f"\n{pair_pad}]\n{pad}]")
-
-
-def _state_csv(amps: np.ndarray) -> str:
-    """One "index,re,im" row per amplitude, as csv.writer writes
-    [index, repr(re), repr(im)]: no float repr needs quoting or holds a
-    "%", so one %-format fills in every row's index."""
-    rows = _amplitude_texts(amps, ",")
-    return ("%d," + "\n%d,".join(rows) + "\n") % tuple(range(len(rows)))
+def _state_csv(amps: np.ndarray, write) -> None:
+    """Write one "index,re,im" row per amplitude through write, as bytes,
+    a slice at a time, as csv.writer writes [index, repr(re), repr(im)]:
+    no float repr needs quoting or holds a "%", so one %-format fills in
+    a slice's indices, counted from its start."""
+    for start, rows in _amplitude_slices(amps, ","):
+        write((("%d," + "\n%d,".join(rows) + "\n")
+               % tuple(range(start, start + len(rows)))).encode())
 
 
 def _indented_json(payload) -> bytes:
@@ -592,21 +597,23 @@ def _render(payload: dict, out_format: str) -> bytes:
                                    for trial, seed, leaf in rows]).encode())
             return buf.getvalue()
         return _indented_json(payload)
+    kind = payload.get("scenario")
+    if kind == "simulate":
+        buf = io.BytesIO()
+        buf.write(b"index,re,im\n")
+        _state_csv(payload["final_state"].amplitudes, buf.write)
+        return buf.getvalue()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    kind = payload.get("scenario")
     if kind == "sweep":
         writer.writerow([payload["parameter"], payload["observable"]])
         writer.writerows(payload["rows"])
-    elif kind == "bell":
+    else:  # bell; load_config refuses CSV for compile
         writer.writerow(["trial", "seed", "input", "round1", "round2",
                          "classification", "phi"])
         tails = [[row["input"], row["round1"], row["round2"] or "",
                   row["classification"], repr(row["phi"])] for row in payload["leaves"]]
         writer.writerows([trial, seed, *tails[leaf]] for trial, seed, leaf in payload["outcomes"])
-    else:  # simulate; load_config refuses CSV for compile
-        writer.writerow(["index", "re", "im"])
-        buf.write(_state_csv(payload["final_state"].amplitudes))
     return buf.getvalue().encode()
 
 

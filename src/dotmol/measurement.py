@@ -80,8 +80,10 @@ def _sample(u: float, outcomes) -> str:
 
 
 def _project(amps: np.ndarray) -> EncodedRegisterState:
-    """Renormalized state from amplitudes with the rejected branch zeroed."""
-    return EncodedRegisterState(amps / math.sqrt(float(np.sum(np.abs(amps) ** 2))))
+    """Renormalized state from amplitudes with the rejected branch zeroed.
+    amps is the caller's own copy and is divided in place."""
+    amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+    return EncodedRegisterState(amps)
 
 
 def qpc_read_single(state: EncodedRegisterState, molecule: int,

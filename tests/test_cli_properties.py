@@ -25,7 +25,8 @@ from schedule_reference import state_json
 
 from dotmol import (EncodedRegisterState, Gate, LayoutGeometry, ScheduleProgram, Topology,
                     compile_circuit, init_schedule, simulate_program)
-from dotmol.cli import _SCHEMA, _indented_json, _state_csv, main
+from dotmol import cli
+from dotmol.cli import _SCHEMA, _STATE_SLICE, _indented_json, _state_csv, main
 
 PROPERTY_SETTINGS = settings(
     max_examples=150, derandomize=True, database=None, deadline=None,
@@ -221,6 +222,13 @@ def assert_writes_as_state_json(amps, n):
         assert _indented_json({"n": n, "final_state": state}) == nested.encode()
 
 
+def state_csv(amps):
+    """The CSV state writer's rows for amps, as text."""
+    buf = io.BytesIO()
+    _state_csv(amps, buf.write)
+    return buf.getvalue().decode()
+
+
 def csv_writer_rows(amps):
     """The simulate CSV rows as csv.writer wrote them, from
     [index, repr(re), repr(im)] per amplitude."""
@@ -247,10 +255,24 @@ def test_state_writer_matches_state_json(n):
     assert_writes_as_state_json(amps, n)
 
 
-@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("n", [2, 5])
+def test_state_writer_in_small_slices_matches_state_json(monkeypatch, n):
+    # slices of 3 amplitudes: pairs are joined across every slice boundary,
+    # and the last slice is short
+    monkeypatch.setattr(cli, "_STATE_SLICE", 3)
+    rng = np.random.default_rng(610 + n)
+    amps = rng.normal(size=2 ** n) + 1j * rng.normal(size=2 ** n)
+    amps[1] = complex(-0.0, 0.0)
+    amps[-2] = 0.0
+    amps /= np.linalg.norm(amps)
+    assert_writes_as_state_json(amps, n)
+
+
+@pytest.mark.parametrize("n", [8, 10, 11, 12])
 def test_state_writer_matches_state_json_on_sparse_states(n):
     # mostly +0.0 parts, which share one text; each signed-zero pair and
-    # a 1e-17 part must still be written as its own value
+    # a 1e-17 part must still be written as its own value. From n = 11 the
+    # state spans more than one slice of the writer
     rng = np.random.default_rng(620 + n)
     parts = np.zeros(2 ** (n + 1))
     live = rng.choice(parts.size, size=12, replace=False)
@@ -286,7 +308,7 @@ def test_state_writer_matches_state_json_after_reads(params):
     assert {event["kind"] for event in events} == {"read_single", "read_pair"}
     assert 0 < np.count_nonzero(state.amplitudes) < state.amplitudes.size // 4
     assert_writes_as_state_json(state.amplitudes, 9)
-    assert _state_csv(state.amplitudes) == csv_writer_rows(state.amplitudes)
+    assert state_csv(state.amplitudes) == csv_writer_rows(state.amplitudes)
 
 
 # +0.0 often, so that most drawn arrays are sparse, and every special value
@@ -298,20 +320,31 @@ PART = st.one_of(st.just(0.0), st.floats(),
 @given(pairs=st.lists(st.tuples(PART, PART), min_size=1, max_size=40))
 def test_csv_state_writer_matches_csv_writer(pairs):
     amps = np.array([complex(re, im) for re, im in pairs])
-    assert _state_csv(amps) == csv_writer_rows(amps)
+    assert state_csv(amps) == csv_writer_rows(amps)
     strided = np.empty(2 * amps.size, dtype=complex)
     strided[::2] = amps
-    assert _state_csv(strided[::2]) == csv_writer_rows(amps)
+    assert state_csv(strided[::2]) == csv_writer_rows(amps)
+    # in slices of 3 amplitudes, the indices carry on across slices
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_STATE_SLICE", 3)
+        assert state_csv(strided[::2]) == csv_writer_rows(amps)
 
 
 @pytest.mark.parametrize("case", ["dense", "sparse", "signed_zeros"])
 def test_csv_state_writer_matches_csv_writer_on_random_states(case):
+    # two full slices and one amplitude more, so the rows' indices carry
+    # across two slice boundaries and the last slice holds one row
     rng = np.random.default_rng(640)
-    parts = rng.normal(size=2 ** 11)
+    parts = rng.normal(size=2 * (2 * _STATE_SLICE + 1))
     if case == "sparse":
         parts[rng.random(parts.size) < 0.97] = 0.0
     elif case == "signed_zeros":
         parts[rng.random(parts.size) < 0.5] = -0.0
         parts[rng.random(parts.size) < 0.3] = 0.0
     amps = parts.view(complex) / np.linalg.norm(parts)
-    assert _state_csv(amps) == csv_writer_rows(amps)
+    # a nonzero amplitude, a -0.0 part and a NaN on either side of the
+    # first boundary
+    amps[_STATE_SLICE - 1] = complex(0.25, -0.5)
+    amps[_STATE_SLICE] = complex(-0.0, 0.0)
+    amps[_STATE_SLICE + 1] = complex(math.nan, 0.0)
+    assert state_csv(amps) == csv_writer_rows(amps)

@@ -17,7 +17,7 @@ from dotmol import (ECHO_FACTOR, READ_LIMIT_MESSAGE, Action, CompileError,
                     phase_from_waveform, product_state, simulate_program,
                     time_budget, validate_program)
 from dotmol import scheduler
-from dotmol.cli import _indented_json, parse_circuit
+from dotmol.cli import _indented_json, _render, parse_circuit
 from dotmol.register import cnot, molecule_view
 from dotmol.scheduler import _OwnedRegister
 
@@ -680,6 +680,29 @@ def test_render_at_benchmark_scale_holds_one_copy_of_its_bytes(params):
     assert out.startswith(b'{\n  "scenario": "compile",\n  "schedule": {\n')
     assert len(out) > 500_000
     assert peak <= 1.5 * len(out)
+
+
+@pytest.mark.parametrize("out_format", ["json", "csv"])
+def test_state_render_holds_one_copy_of_its_bytes(out_format):
+    # a dense 16-molecule state is formatted, joined and encoded a slice of
+    # amplitudes at a time, straight into the output buffer: the traced peak
+    # stays near the output's length, where the state's text as one list,
+    # one joined str and one encoded copy peaks at several times that
+    rng = np.random.default_rng(660)
+    amps = rng.normal(size=2 ** 16) + 1j * rng.normal(size=2 ** 16)
+    payload = {"scenario": "simulate",
+               "final_state": EncodedRegisterState(amps / np.linalg.norm(amps))}
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        out = _render(payload, out_format)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert type(out) is bytes
+    assert len(out) > 2 ** 16 * 40
+    assert peak <= 1.3 * len(out)
 
 
 def test_budget_and_pulse_timings_are_python_floats(geometry, params):
