@@ -38,11 +38,12 @@ EXIT_USAGE = 1
 EXIT_PHYSICS = 2
 EXIT_BUDGET_WARNINGS = 3
 
-# Bell trials and sweep points are held in memory until rendered. Peak RSS
-# grows by ~429 bytes per Bell trial (JSON or CSV; the JSON lines are
-# rendered _BELL_SLICE trials at a time) and ~490 bytes per sweep point
-# (JSON; CSV ~193) over a ~36 MiB interpreter, measured on 10^6 trials and
-# 10^5 and 2 * 10^5 points: 10^6 rows peak near 0.43 GiB (Bell) and 0.50 GiB
+# Bell trials are drawn, sampled and rendered _BELL_SLICE at a time, so a
+# run holds its output bytes and one slice of rows; sweep points are held
+# in memory until rendered. Peak RSS grows by ~200 bytes per Bell trial
+# (JSON; CSV ~145) and ~490 bytes per sweep point (JSON; CSV ~193) over a
+# ~36 MiB interpreter, measured on 10^6 psi_plus trials and 10^5 and
+# 2 * 10^5 points: 10^6 rows peak near 0.22 GiB (Bell, JSON) and 0.50 GiB
 # (sweep), under a 1 GiB budget.
 BELL_TRIAL_LIMIT = 1_000_000
 SWEEP_POINT_LIMIT = 1_000_000
@@ -319,17 +320,20 @@ def _run_bell(config: RunConfig) -> tuple[int, dict]:
     # the protocol up to its two draws is fixed by the input; trials only
     # sample it, so a row holds its trial, its seed and its leaf's index
     branches = bell_branches(bell_state(label), 0, 1, config.geometry, config.params)
-    leaf_index = {key: n for n, key in enumerate(branches.outcomes)}
     leaves = [{"input": label, "round1": o.round1, "round2": o.round2,
                "classification": o.classification, "phi": o.phi}
               for o in branches.outcomes.values()]
-    stream_labels = (("bell", label, t) for t in range(trials))
-    seeds, draws = tokens_and_uniforms(config.seed, stream_labels, 2)
-    sampled = (branches.sample(iter(pair).__next__) for pair in zip(*draws.T.tolist()))
-    outcomes = [(trial, seed, leaf_index[o.round1, o.round2])
-                for trial, seed, o in zip(range(trials), seeds, sampled)]
+
+    def slices():
+        """The (trial, seed, leaf) rows, _BELL_SLICE trials at a time."""
+        for start in range(0, trials, _BELL_SLICE):
+            stop = min(start + _BELL_SLICE, trials)
+            stream_labels = (("bell", label, t) for t in range(start, stop))
+            seeds, draws = tokens_and_uniforms(config.seed, stream_labels, 2)
+            yield zip(range(start, stop), seeds, branches.leaf_indices(draws).tolist())
+
     return EXIT_OK, {"scenario": "bell", "input": label, "trials": trials,
-                     "leaves": leaves, "outcomes": outcomes}
+                     "leaves": leaves, "slices": slices()}
 
 
 _EPSILON_OBSERVABLES = {
@@ -590,9 +594,8 @@ def _render(payload: dict, out_format: str) -> bytes:
             # are joined and encoded a slice of trials at a time
             heads = [json.dumps(leaf, sort_keys=True)[:-1] + ', "seed": '
                      for leaf in payload["leaves"]]
-            outcomes, buf = payload["outcomes"], io.BytesIO()
-            for start in range(0, len(outcomes), _BELL_SLICE):
-                rows = outcomes[start:start + _BELL_SLICE]
+            buf = io.BytesIO()
+            for rows in payload["slices"]:
                 buf.write("".join([f'{heads[leaf]}{seed}, "trial": {trial}}}\n'
                                    for trial, seed, leaf in rows]).encode())
             return buf.getvalue()
@@ -603,18 +606,31 @@ def _render(payload: dict, out_format: str) -> bytes:
         buf.write(b"index,re,im\n")
         _state_csv(payload["final_state"].amplitudes, buf.write)
         return buf.getvalue()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
     if kind == "sweep":
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
         writer.writerow([payload["parameter"], payload["observable"]])
         writer.writerows(payload["rows"])
-    else:  # bell; load_config refuses CSV for compile
-        writer.writerow(["trial", "seed", "input", "round1", "round2",
-                         "classification", "phi"])
-        tails = [[row["input"], row["round1"], row["round2"] or "",
-                  row["classification"], repr(row["phi"])] for row in payload["leaves"]]
-        writer.writerows([trial, seed, *tails[leaf]] for trial, seed, leaf in payload["outcomes"])
-    return buf.getvalue().encode()
+        return text.getvalue().encode()
+    # bell; load_config refuses CSV for compile. Each leaf's tail goes
+    # through csv.writer once; trial and seed are ints, which csv.writer
+    # never quotes, so each slice's rows are formatted straight to bytes
+    buf = io.BytesIO()
+    buf.write(b"trial,seed,input,round1,round2,classification,phi\n")
+    tails = [_csv_line([row["input"], row["round1"], row["round2"] or "",
+                        row["classification"], repr(row["phi"])])
+             for row in payload["leaves"]]
+    for rows in payload["slices"]:
+        buf.write("".join([f"{trial},{seed},{tails[leaf]}"
+                           for trial, seed, leaf in rows]).encode())
+    return buf.getvalue()
+
+
+def _csv_line(fields) -> str:
+    """fields as csv.writer writes them, one line ending in a newline."""
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerow(fields)
+    return text.getvalue()
 
 
 def run(config: RunConfig, config_dir: Path) -> tuple[int, bytes]:

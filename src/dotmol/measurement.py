@@ -66,17 +66,35 @@ def bell_state(label: str) -> EncodedRegisterState:
 _LIVE = 1e-15
 
 
+class _Thresholds:
+    """The threshold sampler of one (label, p) table, built once: its live
+    labels (p above _LIVE), their total and the running sums of their p.
+    A uniform u in [0, 1) picks the first live label whose running sum
+    exceeds u * total, or the last live label if none does."""
+
+    def __init__(self, outcomes):
+        live = [(label, p) for label, p in outcomes if p > _LIVE]
+        self.labels = [label for label, _ in live]
+        # the builtin sum (compensated from Python 3.12) and running sums
+        # added one p at a time, so every pick is reference_sample's
+        # (tests/bell_reference.py), bit for bit
+        self.total = sum(p for _, p in live)
+        acc, bounds = 0.0, []
+        for _, p in live:
+            acc += p
+            bounds.append(acc)
+        self.bounds = np.array(bounds)
+
+    def index(self, u):
+        """Index into labels of the label each uniform in u picks."""
+        picks = np.searchsorted(self.bounds, u * self.total, side="right")
+        return np.minimum(picks, len(self.labels) - 1)
+
+
 def _sample(u: float, outcomes) -> str:
     """The label uniform u in [0, 1) picks; zero-weight branches excluded."""
-    live = [(label, p) for label, p in outcomes if p > _LIVE]
-    total = sum(p for _, p in live)
-    u *= total
-    acc = 0.0
-    for label, p in live:
-        acc += p
-        if u < acc:
-            return label
-    return live[-1][0]
+    table = _Thresholds(outcomes)
+    return table.labels[table.index(u)]
 
 
 def _project(amps: np.ndarray) -> EncodedRegisterState:
@@ -183,7 +201,8 @@ class BellBranches:
     to the second read's pairs, or to None when that level is not I_mid.
     outcomes maps (round1, round2) to the finished BellOutcome, with
     round2 None after a round-one I_max or I_min. Only the draws are left:
-    sample(draw) calls draw() for one uniform per read, in protocol order.
+    sample(draw) calls draw() for one uniform per read, in protocol order,
+    and leaf_indices(draws) looks up a whole array of trials' leaves.
     """
 
     round1: Outcomes
@@ -195,6 +214,25 @@ class BellBranches:
         second = self.round2[level1]
         level2 = None if second is None else _sample(draw(), second)
         return self.outcomes[level1, level2]
+
+    def leaf_indices(self, draws: np.ndarray) -> np.ndarray:
+        """Index into outcomes of the leaf each row of a (T, 2) array of
+        uniforms reaches, as sample() reaches it drawing the row's first
+        column and, after I_mid, its second."""
+        keys = {key: n for n, key in enumerate(self.outcomes)}
+        first = _Thresholds(self.round1)
+        picks = first.index(draws[:, 0])
+        leaves = np.empty(len(draws), dtype=np.intp)
+        for n, level1 in enumerate(first.labels):
+            rows = picks == n
+            second = self.round2[level1]
+            if second is None:
+                leaves[rows] = keys[level1, None]
+                continue
+            table = _Thresholds(second)
+            leaf = np.array([keys[level1, level2] for level2 in table.labels])
+            leaves[rows] = leaf[table.index(draws[rows, 1])]
+        return leaves
 
 
 def bell_branches(state: EncodedRegisterState, i: int, j: int,

@@ -6,8 +6,10 @@ on the root seed and the labels, never on the order in which streams are
 opened, so a trial replays from its labels alone. tokens_and_uniforms(),
 the one source of draws, reads many streams in one pass, bit for bit as
 numpy's PCG64 seeded through SeedSequence: the mixing (O'Neill's seed_seq)
-runs on uint32 columns over all streams, then PCG64 (XSL-RR output) steps
-in Python ints.
+runs on uint32 columns over all streams. PCG64 is then jumped, not
+stepped: each output column's state is an affine map of the seeded state
+with its own constants, built once per call in Python ints, applied to
+every stream at once in (high, low) uint64 words, then XSL-RR output.
 """
 from __future__ import annotations
 
@@ -70,15 +72,47 @@ def tokens_and_uniforms(root_seed: int, label_tuples, k: int) -> tuple[list[int]
     # low word first into the PCG64 seed (s0, s1) and increment (i0, i1)
     hash_const = _INIT_B
     state = [hashmix(pool[i % 4], _MULT_B).astype(np.uint64) for i in range(8)]
-    seeds = [(lo | hi << np.uint64(32)).tolist() for lo, hi in zip(state[::2], state[1::2])]
-    out = np.empty((len(words), k))
-    for row, (s0, s1, i0, i1) in enumerate(zip(*seeds)):
-        # PCG64 srandom: state 0, step, add the seed, step; then k outputs
-        inc = ((i0 << 64 | i1) << 1 | 1) & _MASK128
-        s = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-        for col in range(k):
-            s = (s * _PCG_MULT + inc) & _MASK128
-            x, rot = ((s >> 64) ^ s) & _MASK64, s >> 122
-            x = (x >> rot | x << (64 - rot)) & _MASK64
-            out[row, col] = (x >> 11) * 2.0 ** -53
+    # PCG64 srandom: state 0, step, add the seed, step. Output j (from 1)
+    # reads the state j steps later: with x = seed + inc, that state is
+    # M^(j+1) x + (1 + M + ... + M^j) inc mod 2^128, so each column has its
+    # own jump-ahead pair (Brown's LCG stride, 1994) and each row the same
+    # (high, low) uint64 arithmetic
+    s0, s1, i0, i1 = [(lo | hi << np.uint64(32))[:, None]
+                      for lo, hi in zip(state[::2], state[1::2])]
+    one = np.uint64(1)
+    inc = (i0 << one | i1 >> np.uint64(63), i1 << one | one)
+    x_lo = s1 + inc[1]
+    x = (s0 + inc[0] + (x_lo < s1), x_lo)
+    mults, sums, mult, total = [], [], _PCG_MULT, 1
+    for _ in range(k):
+        total = (total + mult) & _MASK128
+        mult = mult * _PCG_MULT & _MASK128
+        mults.append(mult)
+        sums.append(total)
+    hi, lo = _mul128(mults, x)
+    c_hi, c_lo = _mul128(sums, inc)
+    lo += c_lo
+    hi += c_hi + (lo < c_lo)
+    # XSL-RR: the two words xor-ed, rotated right by the top 6 bits
+    rot = hi >> np.uint64(58)
+    lo ^= hi
+    lo = lo >> rot | lo << ((np.uint64(64) - rot) & np.uint64(63))
+    out = (lo >> np.uint64(11)).astype(np.float64)
+    out *= 2.0 ** -53
     return tokens, out
+
+
+def _mul128(consts, x) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) uint64 words of consts[j] * x mod 2^128 in column j, for
+    Python-int constants and x a (high, low) pair of (T, 1) word columns."""
+    a_hi = np.array([c >> 64 for c in consts], dtype=np.uint64)
+    a_lo = np.array([c & _MASK64 for c in consts], dtype=np.uint64)
+    x_hi, x_lo = x
+    # the high word of the low words' product, from their 32-bit halves
+    half, low = np.uint64(32), np.uint64(_MASK32)
+    a1, a0, x1, x0 = a_lo >> half, a_lo & low, x_lo >> half, x_lo & low
+    p10, p01 = a1 * x0, a0 * x1
+    mid = (a0 * x0 >> half) + (p10 & low) + (p01 & low)
+    hi = a1 * x1 + (p10 >> half) + (p01 >> half) + (mid >> half)
+    hi += a_hi * x_lo + a_lo * x_hi
+    return hi, a_lo * x_lo

@@ -1,6 +1,8 @@
 """CLI: config loading, circuit parsing, scenarios, exit codes, determinism."""
 import ast
+import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -751,15 +753,28 @@ def test_bell_adding_trials_keeps_earlier_lines(tmp_path):
     assert blobs[8].decode().splitlines()[:5] == blobs[5].decode().splitlines()
 
 
-@pytest.mark.parametrize("trials", [1, 6, 7, 13])
-def test_bell_lines_written_in_slices_join_up(tmp_path, monkeypatch, trials):
+@pytest.mark.parametrize("out_format, trials", [
+    *[pytest.param("json", trials, id=str(trials)) for trials in (1, 6, 7, 13)],
+    *[pytest.param("csv", trials, id=f"csv-{trials}") for trials in (1, 6, 7, 13)]])
+def test_bell_lines_written_in_slices_join_up(tmp_path, monkeypatch, out_format, trials):
     # slices of 3 trials: the last slice full or short, and one slice alone
     path = write_run(tmp_path, {"kind": "bell", "input": "psi_plus",
-                                "trials": trials})
-    _, whole = run_cli(path, tmp_path / "whole.json")
+                                "trials": trials}, format=out_format)
+    _, whole = run_cli(path, tmp_path / "whole.out")
     monkeypatch.setattr(cli, "_BELL_SLICE", 3)
-    _, sliced = run_cli(path, tmp_path / "sliced.json")
+    _, sliced = run_cli(path, tmp_path / "sliced.out")
     assert sliced == whole
+    if out_format == "csv":
+        # the rows csv.writer writes for the JSON records of the same run
+        _, records = run_cli(path, tmp_path / "records.json", "--format", "json")
+        text = io.StringIO()
+        writer = csv.writer(text, lineterminator="\n")
+        writer.writerow(["trial", "seed", "input", "round1", "round2",
+                         "classification", "phi"])
+        writer.writerows([r["trial"], r["seed"], r["input"], r["round1"], r["round2"] or "",
+                          r["classification"], repr(r["phi"])] for r in bell_rows(records))
+        assert sliced == text.getvalue().encode()
+        return
     rows = [json.loads(line) for line in sliced.decode().splitlines()]
     assert [row["trial"] for row in rows] == list(range(trials))
     assert sliced.endswith(b"}\n")

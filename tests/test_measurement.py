@@ -4,12 +4,13 @@ import re
 
 import numpy as np
 import pytest
-from bell_reference import reference_bell
+from bell_reference import reference_bell, reference_leaf, reference_sample
 from stream_reference import substream
 
 from dotmol import (BELL_LABELS, EncodedRegisterState, bell_branches, bell_state,
                     pair_read_probabilities, product_state, qpc_read_pair,
                     qpc_read_single)
+from dotmol.measurement import _sample, _Thresholds
 
 SQ = 1 / math.sqrt(2)
 
@@ -256,3 +257,51 @@ def test_bell_branches_hold_every_live_outcome(geometry, params, rng):
         for (level1, level2), outcome in branches.outcomes.items():
             assert (outcome.round1, outcome.round2) == (level1, level2)
             assert outcome.reading1.level == level1
+
+
+def edge_draws(outcomes):
+    """0.0, the largest draw below 1, and each running sum of the live p
+    over their total, exactly and one ulp either side, within [0, 1)."""
+    live = [p for _, p in outcomes if p > 1e-15]
+    total, acc = sum(live), 0.0
+    draws = {0.0, math.nextafter(1.0, 0.0)}
+    for p in live:
+        acc += p
+        edge = acc / total
+        draws.update((math.nextafter(edge, 0.0), edge, math.nextafter(edge, 2.0)))
+    return sorted(u for u in draws if 0.0 <= u < 1.0)
+
+
+@pytest.mark.parametrize("label", [*BELL_LABELS, "TT", "SS", "TS"])
+def test_sampler_edges_match_the_per_draw_loop(geometry, params, label):
+    # TS has zero-weight branches: I_max and I_min in round one
+    state = bell_state(label) if label in BELL_LABELS else product_state(label)
+    branches = bell_branches(state, 0, 1, geometry, params)
+    seconds = {0.0, math.nextafter(1.0, 0.0)}
+    for table in branches.round2.values():
+        seconds.update(edge_draws(table or ()))
+    pairs = [(u1, u2) for u1 in edge_draws(branches.round1) for u2 in sorted(seconds)]
+    keys = list(branches.outcomes)
+    leaves = branches.leaf_indices(np.array(pairs)).tolist()
+    assert len(leaves) == len(pairs)
+    for (u1, u2), leaf in zip(pairs, leaves):
+        expected = reference_leaf(branches, u1, u2)
+        assert branches.sample(iter((u1, u2)).__next__) is branches.outcomes[expected]
+        assert keys[leaf] == expected, (u1, u2)
+
+
+def test_sampler_edges_match_the_per_draw_loop_on_random_tables(rng):
+    # three or four weights, some zero or below the live cut, totals near 1;
+    # on Python 3.12 the builtin sum is compensated, so a total can exceed
+    # the last running sum and the pick is clipped to the last live label
+    for _ in range(300):
+        weights = rng.random(int(rng.integers(3, 5)))
+        weights[rng.random(len(weights)) < 0.3] = 0.0
+        weights[rng.random(len(weights)) < 0.1] = 1e-16
+        weights[0] += 1e-3
+        outcomes = tuple(zip("abcd", (weights / weights.sum()).tolist()))
+        draws = edge_draws(outcomes)
+        table = _Thresholds(outcomes)
+        picked = [table.labels[n] for n in table.index(np.array(draws)).tolist()]
+        for u, label in zip(draws, picked):
+            assert _sample(u, outcomes) == label == reference_sample(u, outcomes), (u, outcomes)
