@@ -299,7 +299,7 @@ def _run_simulate(config: RunConfig, config_dir: Path) -> tuple[int, dict]:
                               config.geometry.topology.size)
     # one uniform per read, in program order, from the run's one stream
     reads = sum(a.reads for s in program.steps for a in s.actions)
-    draws = tokens_and_uniforms(config.seed, [("simulate",)], reads)[1][0].tolist()
+    draws = tokens_and_uniforms(config.seed, (), ["simulate"], reads)[1][0].tolist()
     state, events = simulate_program(program, config.geometry, config.params,
                                      iter(draws).__next__)
     report = time_budget(program, config.params, echo=config.echo)
@@ -327,10 +327,9 @@ def _run_bell(config: RunConfig) -> tuple[int, dict]:
     def slices():
         """The (trial, seed, leaf) rows, _BELL_SLICE trials at a time."""
         for start in range(0, trials, _BELL_SLICE):
-            stop = min(start + _BELL_SLICE, trials)
-            stream_labels = (("bell", label, t) for t in range(start, stop))
-            seeds, draws = tokens_and_uniforms(config.seed, stream_labels, 2)
-            yield zip(range(start, stop), seeds, branches.leaf_indices(draws).tolist())
+            indices = range(start, min(start + _BELL_SLICE, trials))
+            seeds, draws = tokens_and_uniforms(config.seed, ("bell", label), indices, 2)
+            yield zip(indices, seeds, branches.leaf_indices(draws).tolist())
 
     return EXIT_OK, {"scenario": "bell", "input": label, "trials": trials,
                      "leaves": leaves, "slices": slices()}

@@ -253,13 +253,15 @@ def nnn_coupling_ratio(g: LayoutGeometry) -> float:
 
     (1/(2b) - 1/sqrt(a^2+4b^2)) / (1/b - 1/sqrt(a^2+b^2)); approaches 1/8
     as a/b -> 0, which is what justifies nearest-neighbour truncation.
+    Both differences cancel as b grows, so it is evaluated in r = a/b as
+    s1 (s1 + 1) / (8 s2 (s2 + 1)), s1 = sqrt(1 + r^2), s2 = sqrt(1 + r^2/4),
+    which has no subtraction.
     """
     if g.layout != "perpendicular":
         raise ValueError("nnn_coupling_ratio needs a perpendicular geometry")
-    a, b = g.intra_dot_distance, g.inter_molecule_distance
-    near = 1.0 / b - 1.0 / math.hypot(a, b)
-    far = 1.0 / (2.0 * b) - 1.0 / math.hypot(a, 2.0 * b)
-    return far / near
+    r = g.intra_dot_distance / g.inter_molecule_distance
+    s1, s2 = math.hypot(1.0, r), math.hypot(1.0, r / 2.0)
+    return s1 * (s1 + 1.0) / (8.0 * s2 * (s2 + 1.0))
 
 
 # --- in-line layout energy tables (explicit sums only) ---

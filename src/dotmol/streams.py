@@ -4,12 +4,16 @@ Every random draw in a run flows from the root seed through a stream named
 by string labels (scenario, trial index, ...). Stream identity depends only
 on the root seed and the labels, never on the order in which streams are
 opened, so a trial replays from its labels alone. tokens_and_uniforms(),
-the one source of draws, reads many streams in one pass, bit for bit as
-numpy's PCG64 seeded through SeedSequence: the mixing (O'Neill's seed_seq)
-runs on uint32 columns over all streams. PCG64 is then jumped, not
-stepped: each output column's state is an affine map of the seeded state
-with its own constants, built once per call in Python ints, applied to
-every stream at once in (high, low) uint64 words, then XSL-RR output.
+the one source of draws, reads the streams (*prefix, last) for many lasts
+in one pass, bit for bit as numpy's PCG64 seeded through SeedSequence. The
+shared prefix is hashed once, and each stream copies that sha256 midstate
+and hashes only its last label. The mixing (O'Neill's seed_seq) runs on one
+(4, T) uint32 pool over all streams: its hash constants do not depend on
+the data, so they are built once, and each source word is mixed into the
+pool by one broadcast operation. PCG64 is then jumped, not stepped: each
+output column's state is an affine map of the seeded state with its own
+constants, built once per call in Python ints, applied to every stream at
+once in (high, low) uint64 words, then XSL-RR output.
 """
 from __future__ import annotations
 
@@ -24,6 +28,39 @@ _MIX_L, _MIX_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
+def _hash_constants(init: int, mult: int, n: int) -> np.ndarray:
+    """The n + 1 hash constants init * mult^i mod 2^32 as a uint32 column:
+    hashmix call i xors its value with constant i and multiplies by i + 1."""
+    consts = [init]
+    for _ in range(n):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+# mix_entropy makes 4 + 12 hashmix calls, and 4 more for each entropy word
+# past the pool's four (at most two: a two-word root and four digest
+# words); generate_state makes 8
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 24)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 8)
+_SHIFT = np.uint32(16)
+
+
+def _hashmix(value: np.ndarray, consts: np.ndarray, n: int, rows: int) -> np.ndarray:
+    """hashmix calls n .. n + rows - 1 as rows of one array; value is one
+    row broadcast to all of them, or one row for each."""
+    value = value ^ consts[n:n + rows]
+    value *= consts[n + 1:n + rows + 1]
+    value ^= value >> _SHIFT
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    value = _MIX_L * x
+    value -= _MIX_R * y
+    value ^= value >> _SHIFT
+    return value
+
+
 def _digest(labels) -> bytes:
     """sha256 of the '/'-joined label strings."""
     text = "/".join(map(str, labels))
@@ -35,50 +72,49 @@ def stream_token(*labels) -> int:
     return int.from_bytes(_digest(labels)[:8], "big")
 
 
-def tokens_and_uniforms(root_seed: int, label_tuples, k: int) -> tuple[list[int], np.ndarray]:
-    """(tokens, draws) over an iterable of T label tuples, read once with one
-    sha256 per tuple: tokens[t] is stream_token(*labels) of tuple t, and row
-    t of the (T, k) array draws holds the first k uniforms in [0, 1) of the
-    stream seeded by root_seed (masked to 63 bits) and the labels' sha256."""
-    words = np.frombuffer(b"".join(map(_digest, label_tuples)), ">u4").reshape(-1, 8)
-    tokens = (words[:, 0].astype(np.uint64) << np.uint64(32) | words[:, 1]).tolist()
+def tokens_and_uniforms(root_seed: int, prefix, lasts, k: int) -> tuple[list[int], np.ndarray]:
+    """(tokens, draws) over the T streams (*prefix, last), one for each last
+    in the iterable lasts: tokens[t] is stream_token(*prefix, lasts[t]),
+    and row t of the (T, k) array draws holds the first k uniforms in
+    [0, 1) of the stream seeded by root_seed (masked to 63 bits) and the
+    labels' sha256. The '/'-joined prefix and its trailing '/' (nothing for
+    an empty prefix) are hashed once; each last is one str() hashed on a
+    copy of that midstate, so a last may hold any character, '/' and
+    newlines included."""
+    base = hashlib.sha256(("/".join(map(str, prefix)) + "/" if prefix else "").encode("utf-8"))
+
+    def digest(last) -> bytes:
+        h = base.copy()
+        h.update(str(last).encode("utf-8"))
+        return h.digest()
+
+    digests = b"".join(map(digest, lasts))
+    tokens = np.frombuffer(digests, ">u8")[::4].tolist()
+    words = np.frombuffer(digests, ">u4").reshape(-1, 8)
     # SeedSequence([root, *words[:4]]) entropy: 0 and any root below 2**32
     # coerce to one uint32 word, a larger one to two (low word first)
     root = int(root_seed) & (2 ** 63 - 1)
     root_words = [root & _MASK32, root >> 32] if root >> 32 else [root]
-    entropy = [np.full(len(words), w, np.uint32) for w in root_words] + list(words[:, :4].T)
-    hash_const = _INIT_A
-
-    def hashmix(value, mult=_MULT_A):
-        nonlocal hash_const
-        value = value ^ np.uint32(hash_const)
-        hash_const = hash_const * mult & _MASK32
-        value = value * np.uint32(hash_const)
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        value = _MIX_L * x - _MIX_R * y
-        return value ^ (value >> np.uint32(16))
-
-    pool = [hashmix(e) for e in entropy[:4]]
+    entropy = np.empty((len(root_words) + 4, len(words)), dtype=np.uint32)
+    entropy[:len(root_words)] = np.array(root_words, dtype=np.uint32)[:, None]
+    entropy[len(root_words):] = words[:, :4].T
+    # mix_entropy: the pool hashes the first four words; each pool word is
+    # then mixed into the other three, and each further word into all four
+    pool = _hashmix(entropy[:4], _HASH_A, 0, 4)
     for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for e in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(e))
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mix(pool[dst], _hashmix(pool[src], _HASH_A, 4 + 3 * src, 3))
+    for n, word in enumerate(entropy[4:]):
+        pool = _mix(pool, _hashmix(word, _HASH_A, 16 + 4 * n, 4))
     # generate_state(4, uint64): eight words cycled from the pool, paired
     # low word first into the PCG64 seed (s0, s1) and increment (i0, i1)
-    hash_const = _INIT_B
-    state = [hashmix(pool[i % 4], _MULT_B).astype(np.uint64) for i in range(8)]
+    state = _hashmix(np.concatenate([pool, pool]), _HASH_B, 0, 8).astype(np.uint64)
+    s0, s1, i0, i1 = (state[::2] | state[1::2] << np.uint64(32))[:, :, None]
     # PCG64 srandom: state 0, step, add the seed, step. Output j (from 1)
     # reads the state j steps later: with x = seed + inc, that state is
     # M^(j+1) x + (1 + M + ... + M^j) inc mod 2^128, so each column has its
     # own jump-ahead pair (Brown's LCG stride, 1994) and each row the same
     # (high, low) uint64 arithmetic
-    s0, s1, i0, i1 = [(lo | hi << np.uint64(32))[:, None]
-                      for lo, hi in zip(state[::2], state[1::2])]
     one = np.uint64(1)
     inc = (i0 << one | i1 >> np.uint64(63), i1 << one | one)
     x_lo = s1 + inc[1]

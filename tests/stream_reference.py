@@ -4,9 +4,11 @@ one stream function.
 `substream` is the stream opener the package carried as
 `dotmol.streams.substream` before every draw came from
 `tokens_and_uniforms`: the root seed, masked to 63 bits, and the first 16
-bytes of the labels' sha256 seed a SeedSequence, which seeds PCG64. Row t
-of `tokens_and_uniforms(root, labels, k)[1]` must hold the first k
-`random()` draws of `substream(root, *labels[t])`, bit for bit.
+bytes of the labels' sha256 seed a SeedSequence, which seeds PCG64. It
+hashes each stream's whole '/'-joined label text, where the package hashes
+a shared prefix once. Row t of `tokens_and_uniforms(root, prefix, lasts,
+k)[1]` must hold the first k `random()` draws of `substream(root, *prefix,
+lasts[t])`, bit for bit.
 """
 from __future__ import annotations
 

@@ -897,7 +897,9 @@ def json_run(tmp_path, case, seed):
 # by json.dumps(payload, sort_keys=True, indent=2) before the direct writer
 # (simulate_bell: by the direct writer, before the scheduled pair read
 # shared measurement's sweep functions; *_margin5: before the sweep margin
-# moved from a run setting into MoleculeParams).
+# moved from a run setting into MoleculeParams; sweep_distance-1201, which
+# sweeps nnn_ratio: after its cancellation-free form moved the values in
+# their 13th-16th digits).
 # The simulate* hashes (here and in CSV_GOLDEN) were taken with numpy
 # dispatching X86_V3 or X86_V4 kernels. At numpy's X86_V2 baseline
 # (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR") complex
@@ -920,7 +922,7 @@ JSON_GOLDEN = {
     ("sweep_epsilon", 7): (0, "bab91f7c48731aab141969b59e1f3b0c29b62951fb10ec63d3864d68feb978ec"),
     ("sweep_epsilon", 1201): (0, "2fc385fb3b47ff05b83dbe29051493ffb34e5b8ab683f2bc7c17b4a6e7300928"),
     ("sweep_distance", 7): (0, "8efdfa3a0aef3f9c192e8328e5438405617729ca191a817526a78b877e03ebe4"),
-    ("sweep_distance", 1201): (0, "e13eb70ba0f6176ec5444cd2b61712ca1ffa7ec5f5fbba09f81815432ebc03c1"),
+    ("sweep_distance", 1201): (0, "41dc042b89473084091a8cebe69704ebbcf578dd110b1fed2e42a55f771e1558"),
     ("error", 7): (2, "e19e3029c99b3bf6b5d32fd525809e588afe494c067efdd9fd50973759dae493"),
     ("error", 1201): (2, "8e9da87d60e8e23aec9bca766666c236b511330b68a52fa9a5c8f858ade7487a"),
 }
@@ -975,6 +977,20 @@ def test_sweep_distance_coupling_decreases(tmp_path):
     values = [v for _, v in rows]
     assert all(b < a for a, b in zip(values, values[1:]))
     assert all(v > 0 for v in values)
+
+
+def test_far_nnn_ratio_sweep_reaches_one_eighth(tmp_path):
+    # the ratio's defining differences once cancelled to 0/0 from 1e10 nm,
+    # and a sweep out there exited 2 with "float division by zero"
+    path = write_run(tmp_path, {"kind": "sweep",
+                                "parameter": "inter_molecule_distance",
+                                "observable": "nnn_ratio", "start": 1e9,
+                                "stop": 1e300, "points": 50})
+    code, blob = run_cli(path, tmp_path / "out.json")
+    assert code == EXIT_OK
+    rows = json.loads(blob)["rows"]
+    assert len(rows) == 50
+    assert all(math.isclose(v, 0.125, rel_tol=1e-15) for _, v in rows)
 
 
 def test_sweep_out_of_range_is_a_physics_error(tmp_path):

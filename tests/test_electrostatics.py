@@ -1,5 +1,6 @@
 """Coulomb couplings checked against the brute-force coordinate oracle."""
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -136,6 +137,29 @@ def test_nnn_ratio(geometry):
             assert nnn_coupling_ratio(g) < 0.15
     thin = LayoutGeometry(intra_dot_distance=0.1, inter_molecule_distance=200.0)
     assert math.isclose(nnn_coupling_ratio(thin), 0.125, rel_tol=1e-6)
+
+
+def nnn_ratio_reference(a: float, b: float) -> Decimal:
+    """The defining differences, (1/(2b) - 1/sqrt(a^2+4b^2)) / (1/b -
+    1/sqrt(a^2+b^2)), in 50-digit decimal arithmetic: they cancel about
+    2 log10(b/a) digits, so b/a up to 1e9 keeps 30 of them."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b = Decimal(a), Decimal(b)
+        near = 1 / b - 1 / (a * a + b * b).sqrt()
+        far = 1 / (2 * b) - 1 / (a * a + 4 * b * b).sqrt()
+        return far / near
+
+
+@pytest.mark.parametrize("a", [5.0, 20.0, 50.0])
+def test_nnn_ratio_has_no_cancellation(a):
+    # the subtractions in the definition lost digits as b grew: at a = 20 nm
+    # they gave 0.12500000529 at 1e5 nm, 0.1281 at 1e8 nm and 0.0 at 1e9 nm
+    for b in [1e3, 1e5, 1e8, 1e9, 1e10, *np.geomspace(10.0 * a, 1e10, 40).tolist()]:
+        got = nnn_coupling_ratio(LayoutGeometry(intra_dot_distance=a,
+                                                inter_molecule_distance=b))
+        want = nnn_ratio_reference(a, b)
+        assert abs(Decimal(got) - want) <= Decimal("1e-15") * want, (a, b, got)
 
 
 def test_nnn_ratio_matches_oracle(geometry):
