@@ -16,9 +16,8 @@ from .electrostatics import (LayoutGeometry, PairCoupling, Topology,
                              nnn_coupling_ratio, pair_coupling,
                              sites_pair_energy)
 from .measurement import (BELL_LABELS, QPC_CURRENTS, BellBranches,
-                          BellOutcome, QpcReading, bell_branches, bell_state,
-                          pair_read_probabilities, qpc_read_pair,
-                          qpc_read_single)
+                          BellOutcome, bell_state, pair_read_probabilities,
+                          qpc_read)
 from .physics import (DetuningWaveform, MoleculeParams, SweepWindow,
                       WaveformViolation, adiabatic_angle,
                       charge_branch_energies, full_sweep, sin_sq_mixing,
@@ -29,8 +28,8 @@ from .register import (EncodedRegisterState, Rotation, apply_rotation,
 from .scheduler import (ECHO_FACTOR, READ_LIMIT_MESSAGE, Action,
                         BudgetReport, BudgetViolation, CompileError, Gate,
                         RuleViolation, ScheduleProgram, ScheduleStep,
-                        compile_circuit, init_schedule, simulate_program,
-                        time_budget, validate_program)
+                        bell_branches, compile_circuit, init_schedule,
+                        simulate_program, time_budget, validate_program)
 from .streams import stream_token
 
 __all__ = [
@@ -42,8 +41,7 @@ __all__ = [
     "inline_interaction", "nnn_coupling_ratio", "pair_coupling",
     "sites_pair_energy",
     "BELL_LABELS", "QPC_CURRENTS", "BellBranches", "BellOutcome",
-    "QpcReading", "bell_branches", "bell_state", "pair_read_probabilities",
-    "qpc_read_pair", "qpc_read_single",
+    "bell_state", "pair_read_probabilities", "qpc_read",
     "DetuningWaveform", "MoleculeParams", "SweepWindow", "WaveformViolation",
     "adiabatic_angle", "charge_branch_energies", "full_sweep",
     "sin_sq_mixing", "sweep_rate_window", "validate_waveform",
@@ -51,7 +49,7 @@ __all__ = [
     "molecule_probabilities", "phase_from_waveform", "product_state",
     "ECHO_FACTOR", "READ_LIMIT_MESSAGE", "Action", "BudgetReport",
     "BudgetViolation", "CompileError", "Gate", "RuleViolation",
-    "ScheduleProgram", "ScheduleStep", "compile_circuit", "init_schedule",
-    "simulate_program", "time_budget", "validate_program",
+    "ScheduleProgram", "ScheduleStep", "bell_branches", "compile_circuit",
+    "init_schedule", "simulate_program", "time_budget", "validate_program",
     "stream_token",
 ]

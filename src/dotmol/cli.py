@@ -25,10 +25,10 @@ import numpy as np
 
 from .electrostatics import (LayoutGeometry, Topology, background_interaction,
                              h_cc, nnn_coupling_ratio, pair_coupling)
-from .measurement import BELL_LABELS, bell_branches, bell_state
+from .measurement import BELL_LABELS, bell_state
 from .physics import MoleculeParams, adiabatic_angle, charge_branch_energies, sin_sq_mixing
 from .register import EncodedRegisterState, check_register_size
-from .scheduler import (Action, Gate, ScheduleProgram, ScheduleStep,
+from .scheduler import (Action, Gate, ScheduleProgram, ScheduleStep, bell_branches,
                         compile_circuit, init_schedule, simulate_program,
                         time_budget, validate_program)
 from .streams import tokens_and_uniforms
@@ -480,8 +480,8 @@ def _members_chunks(members, lead: str, pad: str, write, texts: dict) -> None:
 
 def _action_text(a: Action, pad: str, texts: dict) -> bytes:
     """One action's JSON at indent pad, encoded. hold_ns, ramp_ns and
-    read_duration_ns appear only when nonzero, phase when set and
-    rotation when present.
+    read_duration_ns appear only when nonzero, phase when set, rotation
+    when present and heralded (true) on a BELL's round two.
 
     A compiled program repeats the same angle-free Action objects, so
     texts, which lives for one render, keeps their encoded texts by
@@ -495,6 +495,8 @@ def _action_text(a: Action, pad: str, texts: dict) -> bytes:
     if text is not None:
         return text
     values = [a.duration]
+    if a.heralded:
+        values.append(True)
     if a.hold:
         values.append(a.hold)
     values.append(a.kind)
@@ -508,7 +510,7 @@ def _action_text(a: Action, pad: str, texts: dict) -> bytes:
     rot = a.rotation
     if rot is not None:
         values += (rot.angle, rot.axis_angle, rot.duration, rot.kind)
-    template = _action_template(pad, len(a.molecules), bool(a.hold),
+    template = _action_template(pad, len(a.molecules), a.heralded, bool(a.hold),
                                 a.phase is not None, bool(a.ramp),
                                 bool(a.read_duration), rot is not None)
     # not tuple(map(...)): that takes a 10-slot tuple and shrinks it, so
@@ -521,14 +523,15 @@ def _action_text(a: Action, pad: str, texts: dict) -> bytes:
 
 
 @lru_cache(maxsize=256)
-def _action_template(pad: str, width: int, hold: bool, phase: bool,
-                     ramp: bool, read: bool, rotation: bool) -> str:
+def _action_template(pad: str, width: int, heralded: bool, hold: bool,
+                     phase: bool, ramp: bool, read: bool, rotation: bool) -> str:
     """%-template of one action key set, keys in sorted order and a %s for
     each scalar."""
     inner = pad + "  "
     molecules = "[]" if not width else (
         "[\n" + ",\n".join([inner + "  %s"] * width) + "\n" + inner + "]")
-    fields = ['"duration_ns": %s', '"hold_ns": %s' if hold else None,
+    fields = ['"duration_ns": %s', '"heralded": %s' if heralded else None,
+              '"hold_ns": %s' if hold else None,
               '"kind": %s', '"molecules": ' + molecules,
               '"phase": %s' if phase else None, '"ramp_ns": %s' if ramp else None,
               '"read_duration_ns": %s' if read else None]

@@ -19,11 +19,12 @@ import numpy as np
 
 from .constants import HBAR_UEV_NS
 from .electrostatics import LayoutGeometry, Topology, pair_coupling
-from .measurement import READ_DURATION_NS, _measurement_sweep, qpc_read_pair, qpc_read_single
+from .measurement import (QPC_CURRENTS, READ_DURATION_NS, BellBranches, BellOutcome,
+                          _LIVE, Outcomes, _measurement_sweep, _sampler, qpc_read)
 from .physics import MoleculeParams, full_sweep, sin_sq_mixing, sweep_rate_window
 from .register import (EncodedRegisterState, Rotation, _check_molecule, _check_pair,
-                       ising_phase, molecule_view, pair_view, phase_from_waveform,
-                       phase_in_place, product_state, rotate_in_place)
+                       molecule_view, pair_view, phase_from_waveform, phase_in_place,
+                       product_state, rotate_in_place)
 
 # Spin-echo extends the usable coherence window a hundredfold.
 ECHO_FACTOR = 100.0
@@ -66,7 +67,8 @@ class Gate:
 @dataclass(frozen=True)
 class Action:
     """A primitive action: init, rotate, sweep_pair or a QPC read (read_single,
-    read_pair). Reads, init and sweep_pair displace charge; rotate does not."""
+    read_pair). Reads, init and sweep_pair displace charge; rotate does not.
+    A heralded action (a BELL's round two) runs only after an I_mid."""
 
     kind: str
     molecules: tuple[int, ...]
@@ -76,6 +78,7 @@ class Action:
     hold: float = 0.0
     phase: float | None = None
     read_duration: float = 0.0
+    heralded: bool = False
 
     @property
     def displaced(self) -> tuple[int, ...]:
@@ -191,16 +194,16 @@ def _lower(gates, g: LayoutGeometry, params: MoleculeParams) -> list[Action]:
                     read_duration=READ_DURATION_NS)
 
     @lru_cache(maxsize=None, typed=True)
-    def shared(kind: str, *molecules) -> Action:
-        """The one angle-free action of kind on molecules: a Hadamard
-        rotate, a sweep_pair or a read. typed keeps 1 apart from True
-        and from np.int64(1)."""
+    def shared(kind: str, *molecules, heralded: bool = False) -> Action:
+        """The one angle-free action of kind on molecules, heralded or
+        not: a Hadamard rotate, a sweep_pair or a read. typed keeps 1
+        apart from True and from np.int64(1)."""
         if kind == "rotate":
             return Action(kind, molecules, duration=hadamard.duration,
-                          rotation=hadamard)
+                          rotation=hadamard, heralded=heralded)
         if kind == "sweep_pair":
             return Action(kind, molecules, phase=math.pi, **pulse())
-        return Action(kind, molecules, **read())
+        return Action(kind, molecules, heralded=heralded, **read())
 
     for gate in gates:
         if gate.kind == "h":
@@ -218,9 +221,9 @@ def _lower(gates, g: LayoutGeometry, params: MoleculeParams) -> list[Action]:
         elif gate.kind == "measure":
             out.append(shared("read_single", *gate.qubits))
         elif gate.kind == "bell":
-            i, j = gate.qubits
-            read_ij = shared("read_pair", i, j)
-            out += (read_ij, shared("rotate", i), shared("rotate", j), read_ij)
+            i, j = gate.qubits  # round two runs only after a round-one I_mid
+            out += (shared("read_pair", i, j), shared("rotate", i, heralded=True),
+                    shared("rotate", j, heralded=True), shared("read_pair", i, j, heralded=True))
     return out
 
 
@@ -230,7 +233,7 @@ def compile_circuit(gates, g: LayoutGeometry, params: MoleculeParams) -> Schedul
     Gates keep their data order per molecule; independent actions pack into
     the earliest step that satisfies the exclusion rules. Two-molecule
     gates on non-adjacent molecules are compile errors (no routing). Bell
-    measurements schedule both rounds (the static worst case).
+    measurements schedule both rounds (the static worst case), round two heralded.
     """
     gates = list(gates)  # walked twice: checked, then lowered
     size = g.topology.size
@@ -457,7 +460,7 @@ class _OwnedRegister:
     """
 
     def __init__(self, state: EncodedRegisterState):
-        self.amps = state.amplitudes      # product_state's fresh array
+        self.amps = state.amplitudes      # a fresh array, the register's own
         self.spare = np.empty_like(self.amps)
         self.n = state.n
         self.canonical = list(range(self.n))
@@ -522,13 +525,20 @@ class _OwnedRegister:
 
 def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
                      params: MoleculeParams,
-                     draw: Callable[[], float] | None = None
+                     draw: Callable[[], float] | None = None, *,
+                     start: EncodedRegisterState | None = None,
+                     choose: Callable[[Outcomes], str] | None = None
                      ) -> tuple[EncodedRegisterState, list[dict]]:
     """Execute a schedule against the encoded register model.
 
-    sweep_pair applies its intended Ising phase; each read calls draw()
-    once, in program order (draw required if the program has reads).
-    Returns the final state and an event record per measurement. Rotations
+    The register starts in start (left unchanged) or in |S...S>. sweep_pair
+    applies its intended Ising phase. A read continues from the label that
+    choose returns from its (label, p) pairs, or by default samples them on
+    one draw(), in program order (draw required if a read runs); a pair read
+    is swept out and home, an Ising phase each way, sized once per ramp. A
+    heralded action runs only if the last unheralded pair read on each of
+    its molecules gave I_mid; a skipped read draws nothing and records no
+    event. Returns the final state and an event record per read. Rotations
     and phases run in place on a private buffer (_OwnedRegister). An init
     on a molecule already in |S> changes nothing and is skipped, which
     covers the whole prologue on the starting |S...S>; the buffer returns
@@ -536,12 +546,19 @@ def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
     checked at entry, at every init that resets and every read, and on the
     returned state.
     """
-    register = _OwnedRegister(product_state("S" * program.molecule_count))
+    if choose is None and draw is not None:
+        choose = _sampler(draw)
+    register = _OwnedRegister(product_state("S" * program.molecule_count) if start is None
+                              else EncodedRegisterState(start.amplitudes.copy()))
     adjacency = g.topology.adjacency()
+    sweeps: dict[float, float] = {}  # Ising phase of one sweep, out or home, per ramp
+    heard: dict[int, str] = {}       # each molecule's last unheralded pair-read level
     events: list[dict] = []
     for s, step in enumerate(program.steps):
         for action in step.actions:
-            if draw is None and action.reads:
+            if action.heralded and any(heard.get(m) != "I_mid" for m in action.molecules):
+                continue
+            if choose is None and action.reads:
                 raise ValueError("program contains reads; draw required")
             if action.kind == "init":
                 register.init(action.molecules[0])
@@ -551,25 +568,82 @@ def simulate_program(program: ScheduleProgram, g: LayoutGeometry,
                 i, j = action.molecules
                 register.phase(i, j, action.phase, adjacency)
             elif action.kind == "read_single":
-                outcome, state = qpc_read_single(register.state(), action.molecules[0], draw)
+                outcome, state = qpc_read(register.state(), action.molecules, choose)
                 register.adopt(state)
                 events.append({"step": s, "kind": "read_single",
                                "molecules": list(action.molecules),
                                "outcome": outcome})
             elif action.kind == "read_pair":
                 i, j = action.molecules
-                sweep_phi = 0.0
-                if action.ramp > 0.0:
-                    sweep_phi = phase_from_waveform(full_sweep(params, action.ramp), g,
-                                                    params.tunnel_coupling)
+                sweep_phi = sweeps.get(action.ramp)
+                if sweep_phi is None:
+                    sweep_phi = sweeps[action.ramp] = (
+                        phase_from_waveform(full_sweep(params, action.ramp), g,
+                                            params.tunnel_coupling)
+                        if action.ramp > 0.0 else 0.0)
                 # sweep out, read, sweep home: the ramp's phase each way
-                reading = qpc_read_pair(ising_phase(register.state(), i, j, sweep_phi,
-                                                    adjacency), i, j, draw)
-                register.adopt(ising_phase(reading.post_state, i, j, sweep_phi, adjacency))
+                register.phase(i, j, sweep_phi, adjacency)
+                level, state = qpc_read(register.state(), action.molecules, choose)
+                register.adopt(state)
+                register.phase(i, j, sweep_phi, adjacency)
+                if not action.heralded:
+                    heard[i] = heard[j] = level
                 events.append({"step": s, "kind": "read_pair",
                                "molecules": list(action.molecules),
-                               "level": reading.level,
-                               "current": reading.current})
+                               "level": level,
+                               "current": QPC_CURRENTS[level]})
             else:
                 raise ValueError(f"unknown action kind {action.kind!r}")
     return register.state(), events
+
+
+# the classification of each sequence of levels a Bell measurement reads
+_BELL_CLASSES = {("I_max",): "tt_or_phi_sector", ("I_min",): "ss_or_phi_sector",
+                 ("I_mid", "I_max"): "psi_plus", ("I_mid", "I_min"): "psi_plus",
+                 ("I_mid", "I_mid"): "psi_minus"}
+
+
+def bell_branches(state: EncodedRegisterState, i: int, j: int,
+                  g: LayoutGeometry, params: MoleculeParams) -> BellBranches:
+    """Branch table of the two-round QPC Bell measurement on adjacent i, j.
+
+    The protocol is the compiled BELL i j, run from state: round one reads
+    the swept pair, and only its I_mid (the Psi sector) heralds round two,
+    a Hadamard on each molecule and a second read. Psi+ has then been
+    rotated into the Phi sector while Psi- is immune, so a second I_mid
+    identifies Psi- with certainty. The program runs once per live leaf,
+    its reads forced to the leaf's levels; nothing here draws a number.
+    """
+    program = compile_circuit([Gate("bell", (i, j))], g, params)
+    _, sweep_phi = _measurement_sweep(g, params)
+    # Ising phase after one round (out and home) and after two, in sweep order
+    phi = {1: sweep_phi + sweep_phi}
+    phi[2] = phi[1] + sweep_phi + sweep_phi
+    runs = {}  # the levels a run read -> its final state and each read's pairs
+    pending = [()]
+    while pending:
+        levels, tables = list(pending.pop()), []
+
+        def choose(outcomes):
+            """The run's next forced level; past those, the first live
+            level, with a run queued for each other live level."""
+            tables.append(outcomes)
+            if len(tables) > len(levels):
+                first, *others = [label for label, p in outcomes if p > _LIVE]
+                pending.extend((*levels, label) for label in others)
+                levels.append(first)
+            return levels[len(tables) - 1]
+
+        final, _ = simulate_program(program, g, params, start=state, choose=choose)
+        runs[tuple(levels)] = final, tables
+
+    # leaves in pair_read_probabilities order, round one before round two
+    rank = {level: n for n, level in enumerate(QPC_CURRENTS)}
+    round2, outcomes = {}, {}
+    for levels in sorted(runs, key=lambda levels: [rank[level] for level in levels]):
+        final, (round1, *second) = runs[levels]
+        level1, level2 = levels if second else (levels[0], None)
+        round2[level1] = second[0] if second else None
+        outcomes[level1, level2] = BellOutcome(level1, level2, _BELL_CLASSES[levels],
+                                               phi[len(levels)], final)
+    return BellBranches(round1, round2, outcomes)

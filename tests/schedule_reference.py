@@ -11,7 +11,10 @@ dotmol.scheduler can be checked against them on the same inputs.
 `reference_simulate_program` is the simulator as it ran before it owned
 one buffer with a lazily permuted molecule order: every operation goes
 through the public kernels and builds a new state in canonical order.
-The in-place simulator must match its amplitudes bit for bit.
+It skips a heralded action (a BELL's round two) unless the last
+unheralded pair read on each of its molecules gave I_mid, as the
+package's executor does. The in-place simulator must match its
+amplitudes bit for bit.
 
 `reference_to_json` and `reference_from_json` are the schedule encoder and
 decoder the package carried as `ScheduleProgram.to_json` and `from_json`
@@ -39,7 +42,7 @@ from dataclasses import replace
 import numpy as np
 
 from dotmol.electrostatics import LayoutGeometry, Topology
-from dotmol.measurement import _measurement_sweep, qpc_read_pair, qpc_read_single
+from dotmol.measurement import QPC_CURRENTS, _measurement_sweep, _sampler, qpc_read
 from dotmol.physics import MoleculeParams, full_sweep
 from dotmol.register import (EncodedRegisterState, Rotation, apply_rotation,
                              ising_phase, phase_from_waveform, product_state)
@@ -237,8 +240,11 @@ def reference_simulate_program(program: ScheduleProgram, g: LayoutGeometry,
     state = product_state("S" * program.molecule_count)
     adjacency = g.topology.adjacency()
     events: list[dict] = []
+    heard: dict[int, str] = {}
     for s, step in enumerate(program.steps):
         for action in step.actions:
+            if action.heralded and any(heard.get(m) != "I_mid" for m in action.molecules):
+                continue
             if action.kind == "init":
                 state = _reset_to_singlet(state, action.molecules[0])
             elif action.kind == "rotate":
@@ -249,7 +255,7 @@ def reference_simulate_program(program: ScheduleProgram, g: LayoutGeometry,
             elif action.kind == "read_single":
                 if draw is None:
                     raise ValueError("program contains reads; draw required")
-                outcome, state = qpc_read_single(state, action.molecules[0], draw)
+                outcome, state = qpc_read(state, action.molecules, _sampler(draw))
                 events.append({"step": s, "kind": "read_single",
                                "molecules": list(action.molecules),
                                "outcome": outcome})
@@ -261,13 +267,15 @@ def reference_simulate_program(program: ScheduleProgram, g: LayoutGeometry,
                 if action.ramp > 0.0:
                     sweep_phi = phase_from_waveform(full_sweep(params, action.ramp), g,
                                                     params.tunnel_coupling)
-                reading = qpc_read_pair(ising_phase(state, i, j, sweep_phi, adjacency),
-                                        i, j, draw)
-                state = ising_phase(reading.post_state, i, j, sweep_phi, adjacency)
+                level, state = qpc_read(ising_phase(state, i, j, sweep_phi, adjacency),
+                                        (i, j), _sampler(draw))
+                state = ising_phase(state, i, j, sweep_phi, adjacency)
+                if not action.heralded:
+                    heard[i] = heard[j] = level
                 events.append({"step": s, "kind": "read_pair",
                                "molecules": list(action.molecules),
-                               "level": reading.level,
-                               "current": reading.current})
+                               "level": level,
+                               "current": QPC_CURRENTS[level]})
             else:
                 raise ValueError(f"unknown action kind {action.kind!r}")
     return state, events
@@ -286,6 +294,8 @@ def reference_to_json(program: ScheduleProgram) -> dict:
                 out[f"{key}_ns"] = getattr(a, key)
         if a.phase is not None:
             out["phase"] = a.phase
+        if a.heralded:
+            out["heralded"] = True
         return out
     return {"molecule_count": program.molecule_count,
             "steps": [{"duration_ns": s.duration,
@@ -308,7 +318,8 @@ def reference_from_json(data: dict) -> ScheduleProgram:
                 kind=a["kind"], molecules=tuple(a["molecules"]),
                 duration=a["duration_ns"], rotation=rot,
                 ramp=a.get("ramp_ns", 0.0), hold=a.get("hold_ns", 0.0),
-                phase=a.get("phase"), read_duration=a.get("read_duration_ns", 0.0)))
+                phase=a.get("phase"), read_duration=a.get("read_duration_ns", 0.0),
+                heralded=a.get("heralded", False)))
         steps.append(ScheduleStep(tuple(actions)))
     return ScheduleProgram(tuple(steps), data["molecule_count"])
 

@@ -11,6 +11,7 @@ import warnings
 
 import numpy as np
 
+from bell_reference import sample_outcome
 from charge_oracle import (charge_hamiltonian, hold_at, hybridized_states,
                            oracle_evolve, oracle_from_encoded, oracle_to_encoded,
                            square_pulse)
@@ -195,9 +196,9 @@ def test_criterion_6_bell_protocol():
         round1 = {"I_max": 0, "I_mid": 0, "I_min": 0}
         round2 = {"I_max": 0, "I_mid": 0, "I_min": 0, None: 0}
         classifications = set()
+        branches = bell_branches(bell_state(label), 0, 1, g, params)
         for _ in range(trials):
-            outcome = bell_branches(bell_state(label), 0, 1, g,
-                                    params).sample(rng.random)
+            outcome = sample_outcome(branches, rng.random)
             round1[outcome.round1] += 1
             round2[outcome.round2] += 1
             classifications.add(outcome.classification)

@@ -709,10 +709,25 @@ def test_simulate_reads_match_the_reference_stream(tmp_path, seed):
                               + compile_circuit(parse_circuit(circuit), g, params).steps, 3)
     state, events = simulate_program(program, g, params, substream(seed, "simulate").random)
     assert code == EXIT_BUDGET_WARNINGS  # every read breaks today's budget
-    assert len(events) == 160
+    # 80 single reads and 40 round-one pair reads run; round two only
+    # after a round-one I_mid, which some rounds read and some do not
+    kinds = [e["kind"] for e in events]
+    assert kinds.count("read_single") == 80 and 40 < kinds.count("read_pair") < 80
     assert {e["outcome"] for e in events if e["kind"] == "read_single"} == {"S", "T"}
     assert got["events"] == events
     assert got["final_state"] == [[a.real, a.imag] for a in state.amplitudes.tolist()]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_simulate_bell_on_ss_reads_round_one_only(tmp_path, seed):
+    # the register starts in |SS>: round one reads I_min, so round two's
+    # Hadamards and read never run and the state keeps only its SS amplitude
+    path = write_run(tmp_path, {"kind": "simulate", "circuit": "c.txt"},
+                     circuit="BELL 0 1\n", seed=seed)
+    code, blob = run(load_config(path), tmp_path)
+    payload = json.loads(blob)
+    assert [(e["kind"], e["level"]) for e in payload["events"]] == [("read_pair", "I_min")]
+    assert payload["final_state"][:3] == [[0.0, 0.0]] * 3
 
 
 def test_simulate_csv_rendering(tmp_path):
@@ -899,7 +914,10 @@ def json_run(tmp_path, case, seed):
 # shared measurement's sweep functions; *_margin5: before the sweep margin
 # moved from a run setting into MoleculeParams; sweep_distance-1201, which
 # sweeps nnn_ratio: after its cancellation-free form moved the values in
-# their 13th-16th digits).
+# their 13th-16th digits; compile*: after a BELL's round-two actions were
+# marked "heralded"; simulate_bell*-7: after round two ran only after a
+# round-one I_mid, which drops three of its ten reads. At seed 1201 every
+# BELL reads I_mid, so those pins stand).
 # The simulate* hashes (here and in CSV_GOLDEN) were taken with numpy
 # dispatching X86_V3 or X86_V4 kernels. At numpy's X86_V2 baseline
 # (NPY_DISABLE_CPU_FEATURES="X86_V3 X86_V4 AVX512_ICL AVX512_SPR") complex
@@ -907,17 +925,17 @@ def json_run(tmp_path, case, seed):
 # What holds at every level is checked by the simulator reference tests in
 # test_scheduler.py.
 JSON_GOLDEN = {
-    ("compile", 7): (0, "c7ad725eb714526150b4249cf621fb0ace0708405fa0aa898ef8cef92f53720d"),
-    ("compile", 1201): (0, "497751752a57dd68cb3caa9c48e6d81a078f6b776338af1eaf5f4f5d07a8a842"),
-    ("compile_margin5", 7): (0, "2819ea75edc40c16dc9d7222811ddddd464447ccd5d874baf2768270aebdc5a8"),
-    ("compile_margin5", 1201): (0, "3e76007ac2641a8bf13a01bf4eb6a0eb36e4c1742930b080910512ecf0b1eac0"),
+    ("compile", 7): (0, "ae9f38a4852964a1e2ebb41d8e3f34243289ac84bdc35aba69b5629cc9fcc540"),
+    ("compile", 1201): (0, "f3e16fe8279e2ed26f28256d7e5e43ad41055f7ce5108e7fd3399949215be032"),
+    ("compile_margin5", 7): (0, "55d35f67ea6e48ead0301834dc80deadea99331f4ffc17886e258ee6c0a52ee3"),
+    ("compile_margin5", 1201): (0, "1bc123064803976b2246f8a912dcf9be9e6fa21ffa5f452988b22d39eee9969a"),
     ("compile_budget", 7): (3, "f88a7e925e7718ab8bccebb77ebbcec3dbba39fd19c84a558925c9767cea7507"),
     ("compile_budget", 1201): (3, "d24578ab4acfbf6db3c2c0e47af259ab0a65513b96517397589e811b5df5fb7e"),
     ("simulate", 7): (0, "fe4655036e8799ea52fcbb46d04968584e599566e668b4e1bea5534d4a129a4a"),
     ("simulate", 1201): (0, "973f34b6e5bd806fac2bddc7e26613f9c27bc6bfc796d46fbbfdfbf293460fd7"),
-    ("simulate_bell", 7): (0, "c31410f68dab160632624af0bf791595130c14946253b5a78de966ff0991dd0e"),
+    ("simulate_bell", 7): (0, "077f35ad9afb772145e7fe9268a44fba586b08b6e9b0104d07df2a40ffdea1ce"),
     ("simulate_bell", 1201): (0, "b60a2e6819503a6fe4fe05a9059e573f35aa53bd4ef01d91ad11624d88f97643"),
-    ("simulate_bell_margin5", 7): (0, "5c0de010b34417bcb2f931005ede6e29f1bc00efc0bbb7c089bbe90106f73e73"),
+    ("simulate_bell_margin5", 7): (0, "c3a9816c7da0b02d7346d03c80d2794ab2e949a98d02f0b20ab582e0c59fc30a"),
     ("simulate_bell_margin5", 1201): (0, "41b374fa04a73ea9c9d47d0dc02a401413c54065aecc1a68a7f9965b6f702c3b"),
     ("sweep_epsilon", 7): (0, "bab91f7c48731aab141969b59e1f3b0c29b62951fb10ec63d3864d68feb978ec"),
     ("sweep_epsilon", 1201): (0, "2fc385fb3b47ff05b83dbe29051493ffb34e5b8ab683f2bc7c17b4a6e7300928"),
@@ -936,10 +954,11 @@ def test_json_output_bytes_are_pinned(tmp_path, case, seed):
 
 # sha256 of the simulate cases above written as CSV, from before the CSV
 # branch read the state object (simulate) and before the scheduled pair
-# read shared measurement's sweep functions (simulate_bell)
+# read shared measurement's sweep functions (simulate_bell; at seed 7,
+# after round two ran only after a round-one I_mid)
 CSV_GOLDEN = {
     7: {"simulate": "07e7051753c759afd42c6824f7cde3e3777f138d4ccf5553047c5ba8a8fd741b",
-        "simulate_bell": "99f416a320efc76476438f8494c805aebbbac045ecc8125bcd9893a268c3c56c"},
+        "simulate_bell": "ae1a482095da41a6f076aaccc34f4bade3c31e7a772107ce2ad623f787f58165"},
     1201: {"simulate": "f54b1044cec9d920f2ee98df0812ff95d28772131b828dc755c9b5869f53e32d",
            "simulate_bell": "2e886f469f7cc73c681bdaac05b6522f67dd3bcf96e4a7c3bf52b6cb56180486"},
 }

@@ -13,8 +13,8 @@ import pytest
 
 from dotmol import (EncodedRegisterState, Rotation, apply_rotation,
                     ising_phase, molecule_probabilities,
-                    pair_read_probabilities, product_state, qpc_read_pair,
-                    qpc_read_single)
+                    pair_read_probabilities, product_state, qpc_read)
+from dotmol.measurement import _sampler
 from dotmol.register import ENCODED_MOLECULE_LIMIT, check_register_size, cnot
 
 TOL = 1e-12
@@ -91,7 +91,7 @@ def test_single_read_matches_dense_projectors(n, rng):
         assert abs(p_t - np.vdot(branches["T"], branches["T"]).real) < TOL
         assert abs(p_s - np.vdot(branches["S"], branches["S"]).real) < TOL
         for draw, outcome in ((FIRST, "T"), (LAST, "S")):
-            got, post = qpc_read_single(state, m, draw)
+            got, post = qpc_read(state, (m,), _sampler(draw))
             assert got == outcome
             expected = branches[outcome] / np.linalg.norm(branches[outcome])
             assert np.max(np.abs(post.amplitudes - expected)) < TOL
@@ -116,10 +116,10 @@ def test_pair_read_matches_dense_projectors(n, rng):
         mid = (probs["I_max"] + 0.5 * probs["I_mid"]) / sum(probs.values())
         for draw, level in ((FIRST, "I_max"), (fixed_draw(mid), "I_mid"),
                             (LAST, "I_min")):
-            reading = qpc_read_pair(state, i, j, draw)
-            assert reading.level == level
+            got, post = qpc_read(state, (i, j), _sampler(draw))
+            assert got == level
             expected = branches[level] / np.linalg.norm(branches[level])
-            assert np.max(np.abs(reading.post_state.amplitudes - expected)) < TOL
+            assert np.max(np.abs(post.amplitudes - expected)) < TOL
 
 
 def _axis_rotation(psi, m, u):

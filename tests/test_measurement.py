@@ -4,13 +4,14 @@ import re
 
 import numpy as np
 import pytest
-from bell_reference import reference_bell, reference_leaf, reference_sample
+from bell_reference import (reference_bell, reference_branches, reference_leaf,
+                            reference_sample, sample_outcome)
 from stream_reference import substream
 
-from dotmol import (BELL_LABELS, EncodedRegisterState, bell_branches, bell_state,
-                    pair_read_probabilities, product_state, qpc_read_pair,
-                    qpc_read_single)
-from dotmol.measurement import _sample, _Thresholds
+from dotmol import (BELL_LABELS, QPC_CURRENTS, EncodedRegisterState, LayoutGeometry,
+                    Topology, bell_branches, bell_state, pair_read_probabilities,
+                    product_state, qpc_read)
+from dotmol.measurement import _sample, _sampler, _Thresholds
 
 SQ = 1 / math.sqrt(2)
 
@@ -50,10 +51,10 @@ def test_decompose_psi_minus():
 
 
 def test_read_single_deterministic(rng):
-    outcome, post = qpc_read_single(product_state("T"), 0, rng.random)
+    outcome, post = qpc_read(product_state("T"), (0,), _sampler(rng.random))
     assert outcome == "T"
     assert np.allclose(post.amplitudes, [1, 0])
-    outcome, post = qpc_read_single(product_state("S"), 0, rng.random)
+    outcome, post = qpc_read(product_state("S"), (0,), _sampler(rng.random))
     assert outcome == "S"
     assert np.allclose(post.amplitudes, [0, 1])
 
@@ -61,7 +62,7 @@ def test_read_single_deterministic(rng):
 def test_read_single_born_statistics():
     state = EncodedRegisterState(np.array([SQ, SQ]))
     rng = np.random.default_rng(77)
-    hits = sum(qpc_read_single(state, 0, rng.random)[0] == "S" for _ in range(10_000))
+    hits = sum(qpc_read(state, (0,), _sampler(rng.random))[0] == "S" for _ in range(10_000))
     assert abs(hits / 10_000 - 0.5) < 0.02
 
 
@@ -80,28 +81,24 @@ def test_reads_refuse_molecules_outside_the_register(molecules):
     message = REFUSED_READS[molecules]
     state = bell_state("psi_plus")
 
-    def draw():
-        raise AssertionError("a refused read must not draw")
+    def choose(outcomes):
+        raise AssertionError("a refused read must not choose")
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        if len(molecules) == 1:
-            qpc_read_single(state, *molecules, draw)
-        else:
-            qpc_read_pair(state, *molecules, draw)
+        qpc_read(state, molecules, choose)
 
 
 def test_pair_read_deterministic_levels(rng):
-    reading = qpc_read_pair(product_state("TT"), 0, 1, rng.random)
-    assert reading.level == "I_max" and reading.current == 1.0
-    assert np.allclose(reading.post_state.amplitudes, [1, 0, 0, 0])
+    level, post = qpc_read(product_state("TT"), (0, 1), _sampler(rng.random))
+    assert level == "I_max" and QPC_CURRENTS[level] == 1.0
+    assert np.allclose(post.amplitudes, [1, 0, 0, 0])
 
-    reading = qpc_read_pair(product_state("SS"), 0, 1, rng.random)
-    assert reading.level == "I_min" and reading.current == 0.0
+    level, post = qpc_read(product_state("SS"), (0, 1), _sampler(rng.random))
+    assert level == "I_min" and QPC_CURRENTS[level] == 0.0
 
-    reading = qpc_read_pair(bell_state("psi_plus"), 0, 1, rng.random)
-    assert reading.level == "I_mid" and reading.current == 0.5
+    level, post = qpc_read(bell_state("psi_plus"), (0, 1), _sampler(rng.random))
+    assert level == "I_mid" and QPC_CURRENTS[level] == 0.5
     # P_mid acts as identity on the Psi sector
-    assert np.allclose(reading.post_state.amplitudes,
-                       bell_state("psi_plus").amplitudes)
+    assert np.allclose(post.amplitudes, bell_state("psi_plus").amplitudes)
 
 
 def test_pair_probabilities_complete(rng):
@@ -130,12 +127,9 @@ def test_pair_probabilities_ignore_ising_phase(rng):
 
 
 def run_bell(label, trials, geometry, params, seed=0):
-    outcomes = []
-    for t in range(trials):
-        rng = substream(seed, "bell", label, t)
-        outcomes.append(bell_branches(bell_state(label), 0, 1, geometry,
-                                      params).sample(rng.random))
-    return outcomes
+    branches = bell_branches(bell_state(label), 0, 1, geometry, params)
+    return [sample_outcome(branches, substream(seed, "bell", label, t).random)
+            for t in range(trials)]
 
 
 def test_bell_psi_minus_is_deterministic(geometry, params):
@@ -168,12 +162,12 @@ def test_bell_phi_states_never_reach_round_two(geometry, params):
 
 def test_bell_zero_psi_confusion(geometry, params):
     # no seed may ever cross-classify the two Psi states
+    plus_table = bell_branches(bell_state("psi_plus"), 0, 1, geometry, params)
+    minus_table = bell_branches(bell_state("psi_minus"), 0, 1, geometry, params)
     for t in range(500):
         rng = substream(1234, "confusion", t)
-        plus = bell_branches(bell_state("psi_plus"), 0, 1, geometry,
-                             params).sample(rng.random)
-        minus = bell_branches(bell_state("psi_minus"), 0, 1, geometry,
-                              params).sample(rng.random)
+        plus = sample_outcome(plus_table, rng.random)
+        minus = sample_outcome(minus_table, rng.random)
         assert plus.classification == "psi_plus"
         assert minus.classification == "psi_minus"
 
@@ -198,17 +192,19 @@ def test_bell_final_state_in_projector_range(geometry, params):
 
 
 def test_bell_product_states_classify_as_sectors(geometry, params, rng):
-    tt = bell_branches(product_state("TT"), 0, 1, geometry, params).sample(rng.random)
+    tt = sample_outcome(bell_branches(product_state("TT"), 0, 1, geometry, params),
+                        rng.random)
     assert tt.round1 == "I_max" and tt.classification == "tt_or_phi_sector"
-    ss = bell_branches(product_state("SS"), 0, 1, geometry, params).sample(rng.random)
+    ss = sample_outcome(bell_branches(product_state("SS"), 0, 1, geometry, params),
+                        rng.random)
     assert ss.round1 == "I_min" and ss.classification == "ss_or_phi_sector"
 
 
 def test_bell_identical_seed_identical_outcome(geometry, params):
-    a = bell_branches(bell_state("psi_plus"), 0, 1, geometry,
-                      params).sample(substream(99, "repeat", 0).random)
-    b = bell_branches(bell_state("psi_plus"), 0, 1, geometry,
-                      params).sample(substream(99, "repeat", 0).random)
+    a = sample_outcome(bell_branches(bell_state("psi_plus"), 0, 1, geometry, params),
+                       substream(99, "repeat", 0).random)
+    b = sample_outcome(bell_branches(bell_state("psi_plus"), 0, 1, geometry, params),
+                       substream(99, "repeat", 0).random)
     assert (a.round1, a.round2, a.classification, a.phi) == \
         (b.round1, b.round2, b.classification, b.phi)
     assert np.array_equal(a.final_state.amplitudes, b.final_state.amplitudes)
@@ -226,10 +222,11 @@ def reference_states(rng):
 
 def test_bell_measure_matches_step_by_step_reference(geometry, params, rng):
     for k, state in enumerate(reference_states(rng)):
+        branches = bell_branches(state, 0, 1, geometry, params)
         for trial in range(10):
             ours_rng = substream(5, "reference", k, trial)
             ref_rng = substream(5, "reference", k, trial)
-            outcome = bell_branches(state, 0, 1, geometry, params).sample(ours_rng.random)
+            outcome = sample_outcome(branches, ours_rng.random)
             *fields, final = reference_bell(state, 0, 1, geometry, params, ref_rng.random)
             assert (outcome.round1, outcome.round2, outcome.classification,
                     outcome.phi) == tuple(fields)
@@ -256,7 +253,46 @@ def test_bell_branches_hold_every_live_outcome(geometry, params, rng):
         assert set(branches.outcomes) == leaves
         for (level1, level2), outcome in branches.outcomes.items():
             assert (outcome.round1, outcome.round2) == (level1, level2)
-            assert outcome.reading1.level == level1
+
+
+def float_bits(values):
+    """Floats as int64 bits, so 0.0 and -0.0 count as different."""
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+def table_bits(branches):
+    """Every field of a branch table, its floats and amplitudes as bits."""
+    def pairs(table):
+        return None if table is None else ([label for label, _ in table],
+                                           float_bits([p for _, p in table]))
+    return (pairs(branches.round1),
+            {level: pairs(table) for level, table in branches.round2.items()},
+            [(key, o.round1, o.round2, o.classification, float_bits([o.phi]),
+              float_bits(o.final_state.amplitudes.view(float)))
+             for key, o in branches.outcomes.items()])
+
+
+@pytest.mark.parametrize("distance", [200.0, 350.0])
+@pytest.mark.parametrize("layout", ["perpendicular", "in_line"])
+@pytest.mark.parametrize("label", [*BELL_LABELS, "TT", "TS", "ST", "SS"])
+def test_bell_table_matches_reference_branches(params, label, layout, distance):
+    # the compiled BELL run on the executor, one run per live leaf, builds
+    # the table the hand-written protocol built, bit for bit and in order
+    g = LayoutGeometry(layout=layout, inter_molecule_distance=distance,
+                       topology=Topology.line(2))
+    state = bell_state(label) if label in BELL_LABELS else product_state(label)
+    assert table_bits(bell_branches(state, 0, 1, g, params)) == \
+        table_bits(reference_branches(state, 0, 1, g, params))
+
+
+def test_bell_table_refuses_non_adjacent_pairs(params):
+    g = LayoutGeometry(topology=Topology.line(3))
+    state = product_state("TST")
+    for i, j in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError, match="non-adjacent"):
+            bell_branches(state, i, j, g, params)
+        with pytest.raises(ValueError, match="not adjacent"):
+            reference_branches(state, i, j, g, params)
 
 
 def edge_draws(outcomes):
@@ -286,7 +322,6 @@ def test_sampler_edges_match_the_per_draw_loop(geometry, params, label):
     assert len(leaves) == len(pairs)
     for (u1, u2), leaf in zip(pairs, leaves):
         expected = reference_leaf(branches, u1, u2)
-        assert branches.sample(iter((u1, u2)).__next__) is branches.outcomes[expected]
         assert keys[leaf] == expected, (u1, u2)
 
 

@@ -13,7 +13,7 @@ from charge_oracle import square_pulse
 from dotmol import (ECHO_FACTOR, READ_LIMIT_MESSAGE, Action, CompileError,
                     EncodedRegisterState, Gate, LayoutGeometry, MoleculeParams,
                     Rotation, ScheduleProgram, ScheduleStep, Topology, apply_rotation,
-                    compile_circuit, init_schedule, ising_phase,
+                    bell_state, compile_circuit, init_schedule, ising_phase,
                     phase_from_waveform, product_state, simulate_program,
                     time_budget, validate_program)
 from dotmol import scheduler
@@ -317,15 +317,18 @@ def test_angle_free_actions_are_one_object_per_kind_and_molecules(params):
     gates = parse_circuit(text)
     gates += [replace(gate) for gate in gates]
     actions = scheduler._lower(gates, LayoutGeometry(topology=Topology.line(4)), params)
+    # a BELL's round-two actions are heralded, distinct from the others
     shared: dict[tuple, set[int]] = {}
     for a in actions:
         if a.rotation is None or a.rotation.kind == "hadamard":
-            shared.setdefault((a.kind, a.molecules), set()).add(id(a))
+            shared.setdefault((a.kind, a.molecules, a.heralded), set()).add(id(a))
     assert {key: len(ids) for key, ids in shared.items()} == dict.fromkeys([
-        ("rotate", (0,)), ("rotate", (1,)), ("rotate", (2,)), ("rotate", (3,)),
-        ("sweep_pair", (0, 1)), ("sweep_pair", (1, 0)), ("sweep_pair", (1, 2)),
-        ("sweep_pair", (2, 1)), ("read_single", (3,)), ("read_pair", (2, 3)),
-        ("read_pair", (3, 2))], 1)
+        ("rotate", (0,), False), ("rotate", (1,), False), ("rotate", (2,), True),
+        ("rotate", (3,), True), ("sweep_pair", (0, 1), False), ("sweep_pair", (1, 0), False),
+        ("sweep_pair", (1, 2), False), ("sweep_pair", (2, 1), False),
+        ("read_single", (3,), False), ("read_pair", (2, 3), False),
+        ("read_pair", (2, 3), True), ("read_pair", (3, 2), False),
+        ("read_pair", (3, 2), True)], 1)
 
 
 def simulate_scenario_program(gates, g, params):
@@ -872,14 +875,42 @@ def test_simulate_measure_collapses(geometry, params):
     assert events[0]["outcome"] == "S"  # |SS> start is an S eigenstate
 
 
-def test_simulate_bell_records_two_reads(geometry, params):
+def test_simulate_bell_runs_round_two_only_after_i_mid(geometry, params):
     program = compile_circuit([Gate("bell", (0, 1))], geometry, params)
-    # |SS> -> round 1 I_min deterministically; the scheduled second read
-    # then sees the Hadamard-rotated state
+    # |SS> reads I_min in round one, so the heralded Hadamards and second
+    # read are skipped: the state stays |SS>, up to the sweeps' phase
     state, events = simulate_program(program, geometry, params,
                                      np.random.default_rng(5).random)
-    assert [e["kind"] for e in events] == ["read_pair", "read_pair"]
-    assert events[0]["level"] == "I_min"
+    assert [(e["kind"], e["level"]) for e in events] == [("read_pair", "I_min")]
+    assert not state.amplitudes[:3].any()
+    # a Psi input reads I_mid and runs round two
+    for label, levels in (("psi_plus", {"I_max", "I_min"}), ("psi_minus", {"I_mid"})):
+        _, events = simulate_program(program, geometry, params,
+                                     np.random.default_rng(5).random, start=bell_state(label))
+        assert events[0]["level"] == "I_mid" and events[1]["level"] in levels
+        assert [e["step"] for e in events] == [0, 2]
+
+
+def test_read_after_a_skipped_round_two_takes_the_next_uniform(geometry, params):
+    # round two of a BELL on |SS> draws nothing, so MEASURE 0 (after H 0,
+    # an even T/S mix) takes the row's second uniform, 0.1 (T), and the
+    # third is left
+    program = compile_circuit([Gate("bell", (0, 1)), Gate("h", (0,)),
+                               Gate("measure", (0,))], geometry, params)
+    draws = iter([0.9, 0.1, 0.9])
+    _, events = simulate_program(program, geometry, params, draws.__next__)
+    assert [(e["kind"], e.get("level", e.get("outcome"))) for e in events] == [
+        ("read_pair", "I_min"), ("read_single", "T")]
+    assert list(draws) == [0.9]
+
+
+def test_simulate_start_state_is_left_unchanged(geometry, params):
+    program = compile_circuit([Gate("h", (0,)), Gate("cz", (0, 1)), Gate("bell", (0, 1))],
+                              geometry, params)
+    start = bell_state("psi_minus")
+    before = start.amplitudes.copy()
+    simulate_program(program, geometry, params, np.random.default_rng(3).random, start=start)
+    assert_same_bits(start.amplitudes, before)
 
 
 def test_gate_pulse_fails_without_window(geometry):
